@@ -159,22 +159,27 @@ def cmd_metrics(args):
     try:
         config = RunConfig.load(args.config)
         rows = metrics.load_baselines(args.baselines)
+        inp = metrics.MetricsInput(
+            f_max_hz=config["freq.f_max_hz"],
+            latency_cycles=config.schedule().total_cycles_per_block,
+            slices=config["metrics.slices"],
+            power_W=config["metrics.power_w"],
+            ciphers=config["metrics.ciphers"],
+            f_rf_hz=config["freq.f_rf_hz"],
+            f_uniform_hz=config["freq.f_uniform_hz"],
+            block_size_bits=config["metrics.block_size_bits"],
+            bytes_per_cipher=config["metrics.bytes_per_cipher"],
+        )
+        report = metrics.build_report(inp)
+        entries = metrics.audit_baselines(
+            rows, f_rf_hz=config["freq.f_rf_hz"],
+            f_uniform_hz=config["freq.f_uniform_hz"],
+        )
+        records = metrics.compare_against_baselines(report, rows)
     except (ConfigError, MetricsError, OSError) as exc:
         print("dataset/config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 
-    inp = metrics.MetricsInput(
-        f_max_hz=config["freq.f_max_hz"],
-        latency_cycles=config.schedule().total_cycles_per_block,
-        slices=config["metrics.slices"],
-        power_W=config["metrics.power_w"],
-        ciphers=config["metrics.ciphers"],
-        f_rf_hz=config["freq.f_rf_hz"],
-        f_uniform_hz=config["freq.f_uniform_hz"],
-        block_size_bits=config["metrics.block_size_bits"],
-        bytes_per_cipher=config["metrics.bytes_per_cipher"],
-    )
-    report = metrics.build_report(inp)
     print("# regenerated AES-IMC row (config=%s)" % config.config_hash())
     print(
         "Thr=%.2f Mbps  Thr/SLC=%.4f Mbps  Thr*=%.2f Mbps  E=%.4f uJ  "
@@ -187,10 +192,6 @@ def cmd_metrics(args):
             report.energy_per_bit_J * 1e9,
             report.dpr_Bps / 1e9,
         )
-    )
-    entries = metrics.audit_baselines(
-        rows, f_rf_hz=config["freq.f_rf_hz"],
-        f_uniform_hz=config["freq.f_uniform_hz"],
     )
     for e in entries:
         print(
@@ -205,7 +206,6 @@ def cmd_metrics(args):
                 e.tolerance,
             )
         )
-    records = metrics.compare_against_baselines(report, rows)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(

@@ -3,6 +3,7 @@ validated against a complete default set. Unknown keys are rejected and
 the configuration hash is stable under key reordering."""
 
 import hashlib
+import math
 
 from .crossbar import ConfigError, CostTable, MICRO_OP_KINDS, OpCost
 from .pipeline import BankFarm, Pipeline, Schedule
@@ -72,6 +73,8 @@ class RunConfig:
         for key, value in (overrides or {}).items():
             if key not in self.entries:
                 raise ConfigError("unknown config key: %s" % key)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError("non-finite value for %s: %r" % (key, value))
             self.entries[key] = value
         if self.entries["schedule.preset"] != "ref26":
             raise ConfigError(

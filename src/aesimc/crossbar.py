@@ -2,10 +2,13 @@
 bit-line addressing, sense amplifiers (capacitor + latch per column),
 row buffers, and per-operation latency/energy accounting.
 
-The cell grid carries a batch dimension so that many independent blocks
-can be driven through the identical micro-op sequence at once; control
-flow never depends on data, so per-block traces are the same and cost
-events are recorded once per logical operation.
+CrossbarArray is the single-op model: each primitive checks its
+addresses and values and charges one trace event. Whole blocks run
+through the compiled program in aesimc.program instead, which executes
+the same micro-op kinds a row operation at a time and charges them to
+the same TraceRecorder ledger. The cell grid carries a batch dimension;
+control flow never depends on data, so cost events are recorded once per
+logical operation, not per block.
 """
 
 from dataclasses import dataclass

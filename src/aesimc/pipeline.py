@@ -1,7 +1,11 @@
 """Round scheduling and cycle/energy accounting across the two lanes and
 across banks. The default calibrated preset ("ref26") totals 26 cycles per
 128-bit block: load, initial AddRoundKey, nine 2-cycle rounds, a 2-cycle
-final round without MixColumns, and a 4-cycle drain/readout."""
+final round without MixColumns, and a 4-cycle drain/readout.
+
+A Pipeline runs its configuration's compiled program (see
+aesimc.program) on the whole batch at once; counts, energy and trace
+events are a fold over the program, computed without the data."""
 
 from dataclasses import dataclass
 
@@ -9,7 +13,32 @@ import numpy as np
 
 from . import gfref
 from .crossbar import ConfigError, CostTable, TraceRecorder
-from .sequencer import LanePairSequencer
+from .program import TraceEvents, compile_program
+from .sequencer import LaneLayout, ParallelismConfig
+
+# Name prefixes of the schedule stages the program's phases run in, in
+# order; a phase's stage is an index into this sequence.
+STAGE_PREFIXES = ("load", "initial_ark") + ("round_",) * gfref.N_ROUNDS + ("drain",)
+
+
+def _block_pairs(plaintexts, keys):
+    """Plaintexts and keys as (n, 16) uint8 arrays, one key per block."""
+    plaintexts = np.asarray(plaintexts, dtype=np.uint8)
+    keys = np.asarray(keys, dtype=np.uint8)
+    if plaintexts.size % 16 or keys.size % 16:
+        raise ConfigError(
+            "inputs must be whole 16-byte blocks: %d plaintext bytes, "
+            "%d key bytes" % (plaintexts.size, keys.size)
+        )
+    plaintexts = plaintexts.reshape(-1, 16)
+    keys = keys.reshape(-1, 16)
+    if len(plaintexts) != len(keys):
+        raise ConfigError(
+            "%d plaintext blocks but %d keys" % (len(plaintexts), len(keys))
+        )
+    if len(plaintexts) < 1:
+        raise ConfigError("need at least one block")
+    return plaintexts, keys
 
 
 @dataclass(frozen=True)
@@ -92,8 +121,8 @@ class Pipeline:
                  config_hash=""):
         self.cost_table = cost_table or CostTable.default()
         self.schedule = schedule or Schedule.from_cost_table(self.cost_table)
-        self.layout = layout
-        self.parallelism = parallelism
+        self.layout = layout or LaneLayout()
+        self.parallelism = parallelism or ParallelismConfig()
         self.rows = rows
         self.cols = cols
         self.bank = bank
@@ -106,54 +135,41 @@ class Pipeline:
         self.initiation_interval = initiation_interval
         self.trace = TraceRecorder(detail=trace_detail)
 
-    def _make_sequencer(self, batch):
-        return LanePairSequencer(
-            self.cost_table, self.trace, layout=self.layout,
-            parallelism=self.parallelism, rows=self.rows, cols=self.cols,
-            bank=self.bank, batch=batch,
-        )
+    def program(self):
+        """The compiled program of this configuration, shared with every
+        Pipeline of the same layout, parallelism and geometry."""
+        return compile_program(self.layout, self.parallelism, self.rows, self.cols)
 
-    def _run_scheduled(self, seq, plaintexts, keys):
-        """Drive the phases stage by stage so trace events carry the
-        cycle at which their stage starts."""
+    def _stage_starts(self):
+        """Start cycle of each schedule stage, checked against the stage
+        order the program runs in."""
         stages = self.schedule.stages
+        starts = []
         cursor = 0
-        stage_iter = iter(stages)
-
-        def enter(expected_prefix):
-            nonlocal cursor
-            st = next(stage_iter)
-            if not st.name.startswith(expected_prefix):
-                raise ConfigError("schedule stage %s out of order" % st.name)
-            self.trace.cycle = cursor
-            cursor += st.cycles
-
-        enter("load")
-        seq.load_block(plaintexts, keys)
-        enter("initial_ark")
-        seq.seq_add_round_key()
-        for rnd in range(1, gfref.N_ROUNDS + 1):
-            enter("round_")
-            seq.seq_sub_bytes()
-            seq.seq_shift_rows()
-            if rnd < gfref.N_ROUNDS:
-                seq.seq_mix_columns()
-            seq.seq_key_round_update(rnd)
-            seq.seq_add_round_key()
-        enter("drain")
-        return seq.readout_block()
+        for i, prefix in enumerate(STAGE_PREFIXES):
+            if i >= len(stages):
+                raise ConfigError("schedule has no stage %s*" % prefix)
+            if not stages[i].name.startswith(prefix):
+                raise ConfigError("schedule stage %s out of order" % stages[i].name)
+            starts.append(cursor)
+            cursor += stages[i].cycles
+        return starts
 
     def run_batch(self, plaintexts, keys):
         """Encrypt a batch of independent blocks through one identical
         micro-op sequence. Returns (ciphertexts, cycles_per_block,
         energy_per_block_pJ)."""
-        plaintexts = np.asarray(plaintexts, dtype=np.uint8)
-        keys = np.asarray(keys, dtype=np.uint8)
-        batch = plaintexts.reshape(-1, 16).shape[0]
-        self.trace.reset()
-        seq = self._make_sequencer(batch)
-        cts = self._run_scheduled(seq, plaintexts, keys)
-        return cts, self.schedule.total_cycles_per_block, self.trace.energy_pJ
+        plaintexts, keys = _block_pairs(plaintexts, keys)
+        program = self.program()
+        starts = self._stage_starts()
+        cts = program.run(plaintexts, keys)
+        trace = self.trace
+        trace.reset()
+        trace.counts.update(program.counts)
+        trace.energy_pJ = program.energy_pJ(self.cost_table)
+        if trace.detail:
+            trace.events = TraceEvents(program, self.cost_table, starts, self.bank)
+        return cts, self.schedule.total_cycles_per_block, trace.energy_pJ
 
     def run_block(self, plaintext, key):
         """Encrypt one 16-byte block; returns (ct, cycles, energy_pJ)."""
@@ -200,20 +216,15 @@ class BankFarm:
         ]
 
     def run_banked(self, plaintexts, keys):
-        plaintexts = np.asarray(plaintexts, dtype=np.uint8).reshape(-1, 16)
-        keys = np.asarray(keys, dtype=np.uint8).reshape(-1, 16)
+        plaintexts, keys = _block_pairs(plaintexts, keys)
         n = plaintexts.shape[0]
-        if n < 1:
-            raise ConfigError("need at least one block")
         cts = np.empty_like(plaintexts)
         energy_total = 0.0
         wall_cycles = 0
-        for b, pipe in enumerate(self.pipelines):
-            idx = list(range(b, n, self.banks))
-            if not idx:
-                continue
-            bank_cts, report = pipe.run_stream(plaintexts[idx], keys[idx])
-            cts[idx] = bank_cts
+        for b, pipe in enumerate(self.pipelines[:n]):
+            share = slice(b, n, self.banks)
+            bank_cts, report = pipe.run_stream(plaintexts[share], keys[share])
+            cts[share] = bank_cts
             energy_total += report.energy_pJ_total
             wall_cycles = max(wall_cycles, report.cycles_total)
         per_block = self.pipelines[0].schedule.total_cycles_per_block

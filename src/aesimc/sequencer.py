@@ -1,35 +1,32 @@
-"""Executes each AES phase as crossbar micro-operation sequences:
-AddRoundKey via SA XOR, SubBytes through decoded S-box logic with
-configurable parallelism, ShiftRows via offset writes (fused with the
-SubBytes staging), MixColumns via the M-2 LUT / shared-term
-decomposition, and round-key generation that overwrites the key rows.
+"""AES phases on the crossbar lane pair of one bank.
 
 The 128-bit state is split across two 64-bit lanes: lane 0 owns state
-columns 0-1, lane 1 owns columns 2-3. ShiftRows is the only phase that
-moves bytes between lanes; those transfers go through a modeled
-cross-lane port and are counted.
+columns 0-1, lane 1 owns columns 2-3. A byte occupies two adjacent cells
+of a lane row: high nibble at the even column, low nibble at the odd
+one. AddRoundKey runs as SA XORs, SubBytes through decoded S-box logic
+with configurable parallelism, ShiftRows as offset writes (fused with the
+SubBytes staging), MixColumns through the M-2 LUT and the shared-term
+decomposition, and round-key generation overwrites the key rows.
+ShiftRows is the only phase that moves bytes between lanes; those
+transfers go through a modeled cross-lane port and are counted.
+
+The sequence itself is the compiled program of aesimc.program; this
+module holds its configuration and the stepwise sequencer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gfref
-from .crossbar import ConfigError, CrossbarArray, CrossbarError
-
-SBOX_ARR = np.array(gfref.SBOX, dtype=np.uint8)
-M2_ARR = np.array([gfref.xtime(x) for x in range(256)], dtype=np.uint8)
-
-# rcon first bytes for rounds 1..10
-RCON = (None, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
-
-
-class SequencerError(CrossbarError):
-    pass
-
-
-class InvalidRound(SequencerError):
-    pass
+from .crossbar import ConfigError
+from .program import (  # noqa: F401  (InvalidRound, KeyGenState: re-exported)
+    InvalidRound,
+    KeyGenState,
+    Machine,
+    SequencerError,
+    compile_program,
+)
 
 
 class LaneBusy(SequencerError):
@@ -82,309 +79,90 @@ class ParallelismConfig:
             raise ConfigError("parallelism units must be >= 1")
 
 
-def _ceil_div(a, b):
-    return -(-a // b)
-
-
-class Lane:
-    """One 64-bit processing unit: a crossbar plus its row layout.
-
-    A byte occupies two adjacent cells: high nibble at the even column,
-    low nibble at the odd column."""
-
-    def __init__(self, array, layout):
-        layout.validate(array.rows)
-        if 2 * layout.bytes_per_row > array.cols:
-            raise ConfigError("lane too narrow for bytes_per_row")
-        self.array = array
-        self.layout = layout
-        self.ncols = 2 * layout.bytes_per_row
-        self.cell_cols = list(range(self.ncols))
-
-    # -- nibble packing -------------------------------------------------
-
-    @staticmethod
-    def _split(byte_vals):
-        # (batch, n) bytes -> (batch, 2n) nibbles, hi then lo per byte
-        hi = byte_vals >> 4
-        lo = byte_vals & 0x0F
-        out = np.empty(
-            (byte_vals.shape[0], 2 * byte_vals.shape[1]), dtype=np.uint8
-        )
-        out[:, 0::2] = hi
-        out[:, 1::2] = lo
-        return out
-
-    @staticmethod
-    def _join(nibbles):
-        return (nibbles[:, 0::2] << 4) | nibbles[:, 1::2]
-
-    def write_bytes(self, row, byte_vals):
-        """One costed ROW_WRITE programming a whole row of bytes."""
-        self.array.write_row(row, self.cell_cols, self._split(byte_vals))
-
-    def read_bytes_to_latch(self, row):
-        nibbles = self.array.read_row_to_latch(row, self.cell_cols)
-        return self._join(nibbles)
-
-    def peek_bytes(self, row):
-        """Zero-cost decode of one row (verification only)."""
-        nibbles = self.array.peek_row(row)[:, : self.ncols]
-        return self._join(nibbles)
-
-    def stage_latch(self):
-        """Stage the SA latch contents into the row buffer in place."""
-        latch = self.array.sa_latch[:, : self.ncols].copy()
-        for col in self.cell_cols:
-            self.array.offset_write(col, col, latch[:, col])
-
-    def stage_bytes(self, byte_vals, dst_slots, src_cols):
-        """Stage bytes at given byte slots; src_cols records provenance
-        for the offset-write events (ShiftRows address offsetting)."""
-        nibbles = self._split(byte_vals)
-        for i, slot in enumerate(dst_slots):
-            for half in range(2):
-                self.array.offset_write(
-                    src_cols[i] * 2 + half, slot * 2 + half, nibbles[:, 2 * i + half]
-                )
-
-
-class KeyGenState:
-    """Shared key generator: holds the current round-key bytes and
-    produces the next round key via RotWord/SubWord/rcon."""
-
-    def __init__(self, key_bytes):
-        # (batch, 16), big-endian word order W0..W3
-        self.key = np.array(key_bytes, dtype=np.uint8)
-        self.round = 0
-
-    def next_round(self, rnd):
-        if not 1 <= rnd <= gfref.N_ROUNDS:
-            raise InvalidRound("round %d outside 1..%d" % (rnd, gfref.N_ROUNDS))
-        if rnd != self.round + 1:
-            raise InvalidRound(
-                "round %d requested after round %d" % (rnd, self.round)
-            )
-        prev = self.key
-        new = np.empty_like(prev)
-        t = SBOX_ARR[prev[:, [13, 14, 15, 12]]]  # RotWord then SubWord
-        t[:, 0] ^= RCON[rnd]
-        new[:, 0:4] = prev[:, 0:4] ^ t
-        new[:, 4:8] = prev[:, 4:8] ^ new[:, 0:4]
-        new[:, 8:12] = prev[:, 8:12] ^ new[:, 4:8]
-        new[:, 12:16] = prev[:, 12:16] ^ new[:, 8:12]
-        self.key = new
-        self.round = rnd
-        return new
-
-
 class LanePairSequencer:
-    """Drives the two lanes of one bank through the AES phases."""
+    """Steps one bank's lane pair through the compiled program one AES
+    phase at a time, charging each phase's micro-ops to the trace as it
+    runs. Pipeline.run_batch runs the same program whole; this stepwise
+    form lets the state be inspected between phases."""
 
     def __init__(self, cost_table, trace, layout=None, parallelism=None,
                  rows=16, cols=16, bank=0, batch=1):
+        if batch < 1:
+            raise ConfigError("batch must be >= 1")
         self.layout = layout or LaneLayout()
         self.parallelism = parallelism or ParallelismConfig()
+        self.cost_table = cost_table
         self.trace = trace
+        self.bank = bank
         self.batch = batch
-        self.lanes = [
-            Lane(
-                CrossbarArray(rows, cols, cost_table, trace,
-                              bank=bank, lane=i, batch=batch),
-                self.layout,
-            )
-            for i in range(2)
-        ]
-        self.keygen = None
+        self.program = compile_program(self.layout, self.parallelism, rows, cols)
+        self.machine = Machine(batch, rows, cols)
         self.busy = False
-        self.pending_sub = None  # (batch, 4, 4) substituted state bytes
         self.crosslane_bytes = 0
 
-    # -- state <-> lane mapping -----------------------------------------
-    # state[r][c] = block byte 4c + r; lane L owns state columns 2L, 2L+1.
+    def _run(self, phase):
+        self.machine.execute(phase.instrs)
+        self.crosslane_bytes += phase.crosslane_bytes
+        for lane, kind, row, col_mask, count in phase.ops:
+            self.trace.emit(self.cost_table, self.bank, lane, kind, row,
+                            col_mask, count)
 
-    def _state_from_blocks(self, blocks):
-        blocks = np.asarray(blocks, dtype=np.uint8).reshape(self.batch, 16)
-        return blocks.reshape(self.batch, 4, 4).transpose(0, 2, 1)
-
-    @staticmethod
-    def _blocks_from_state(state):
-        return state.transpose(0, 2, 1).reshape(state.shape[0], 16)
+    def _step(self, name, rnd=1):
+        self._run(self.program.phase(name, rnd))
 
     def load_block(self, plaintext, key):
         """Map state columns 0-1 into lane 0 and 2-3 into lane 1; same
         for the key. Also seeds the shared key generator."""
         if self.busy:
             raise LaneBusy("lanes not idle")
-        pt_state = self._state_from_blocks(plaintext)
-        key_state = self._state_from_blocks(key)
-        for li, lane in enumerate(self.lanes):
-            cols = [2 * li, 2 * li + 1]
-            for r in range(4):
-                lane.write_bytes(self.layout.data_rows[r], pt_state[:, r, cols])
-                lane.write_bytes(self.layout.key_rows[r], key_state[:, r, cols])
-        self.keygen = KeyGenState(
-            np.asarray(key, dtype=np.uint8).reshape(self.batch, 16)
+        self.machine.inputs = tuple(
+            np.asarray(blocks, dtype=np.uint8).reshape(self.batch, 16)
+            for blocks in (plaintext, key)
         )
-        self.busy = True
         self.crosslane_bytes = 0
+        self._step("load", 0)
+        self.busy = True
 
     def readout_block(self):
         """Inverse of the load_block mapping."""
         if not self.busy:
             raise LaneBusy("nothing loaded")
-        state = np.empty((self.batch, 4, 4), dtype=np.uint8)
-        for li, lane in enumerate(self.lanes):
-            for r in range(4):
-                row_bytes = lane.read_bytes_to_latch(self.layout.data_rows[r])
-                state[:, r, 2 * li:2 * li + 2] = row_bytes
+        self._step("readout", gfref.N_ROUNDS)
         self.busy = False
-        return self._blocks_from_state(state)
+        return self.machine.output
 
     def peek_state(self):
         """Zero-cost decoded 4x4 state (verification only)."""
-        state = np.empty((self.batch, 4, 4), dtype=np.uint8)
-        for li, lane in enumerate(self.lanes):
-            for r in range(4):
-                state[:, r, 2 * li:2 * li + 2] = lane.peek_bytes(
-                    self.layout.data_rows[r]
-                )
-        return state
+        return self.machine.state(self.layout.data_rows)
 
     def peek_key_state(self):
-        state = np.empty((self.batch, 4, 4), dtype=np.uint8)
-        for li, lane in enumerate(self.lanes):
-            for r in range(4):
-                state[:, r, 2 * li:2 * li + 2] = lane.peek_bytes(
-                    self.layout.key_rows[r]
-                )
-        return state
+        return self.machine.state(self.layout.key_rows)
 
     # -- AES phases -----------------------------------------------------
 
     def seq_add_round_key(self):
-        """Per data row: data row to capacitors, key row to latches,
-        SA XOR, one writeback. Key rows hold the current round key."""
-        for lane in self.lanes:
-            for r in range(4):
-                lane.array.read_row_to_capacitor(
-                    self.layout.data_rows[r], lane.cell_cols
-                )
-                lane.array.read_row_to_latch(
-                    self.layout.key_rows[r], lane.cell_cols
-                )
-                lane.array.sa_xor(lane.cell_cols)
-                lane.stage_latch()
-                lane.array.write_back_row(self.layout.data_rows[r])
+        self._step("add_round_key", 0)
 
     def seq_sub_bytes(self):
-        """Route each byte through the S-box logic; evaluations are
-        batched in groups of sbox_units per row. Outputs are held for
-        the fused ShiftRows staging (one shared writeback)."""
-        bpr = self.layout.bytes_per_row
-        batches = _ceil_div(bpr, self.parallelism.sbox_units)
-        sub = np.empty((self.batch, 4, 4), dtype=np.uint8)
-        for li, lane in enumerate(self.lanes):
-            for r in range(4):
-                row_bytes = lane.read_bytes_to_latch(self.layout.data_rows[r])
-                sub[:, r, 2 * li:2 * li + 2] = SBOX_ARR[row_bytes]
-                lane.array.count_eval(
-                    "SBOX_EVAL", self.layout.data_rows[r], lane.cell_cols, batches
-                )
-        self.pending_sub = sub
+        self._step("sub_bytes")
 
     def seq_shift_rows(self):
-        """Write the S-box outputs back with column-address offsets that
-        realize the row rotations over the full 4x4 state. Bytes whose
-        destination lies in the other lane go through the cross-lane
-        port. One writeback per data row."""
-        if self.pending_sub is None:
+        if not self.machine.sub:
             raise SequencerError("seq_shift_rows before seq_sub_bytes")
-        sub = self.pending_sub
-        for li, lane in enumerate(self.lanes):
-            for r in range(4):
-                # destination byte slots of this lane for state row r
-                dst_state_cols = [2 * li, 2 * li + 1]
-                src_state_cols = [(c + r) % 4 for c in dst_state_cols]
-                vals = sub[:, r, src_state_cols]
-                lane.stage_bytes(
-                    vals,
-                    dst_slots=[0, 1],
-                    src_cols=[c % 2 for c in src_state_cols],
-                )
-                self.crosslane_bytes += sum(
-                    1 for c in src_state_cols if c // 2 != li
-                )
-                lane.array.write_back_row(self.layout.data_rows[r])
-        self.pending_sub = None
+        self._step("shift_rows")
 
     def seq_mix_columns(self):
-        """Three phases: (a) M-2 LUT pass into the buffer rows, (b) the
-        shared term T per column by pairwise row XORs, all columns in
-        parallel, (c) per-row six-step combination overwriting the data
-        row: T, then XOR in M-2 of rows i and i+1, then the original row."""
-        lay = self.layout
-        bpr = lay.bytes_per_row
-        m2_batches = _ceil_div(bpr, self.parallelism.m2_units)
-        for lane in self.lanes:
-            arr = lane.array
-            # (a) M-2 transform of every data byte, staged then written
-            # to the vacant buffer rows
-            for r in range(4):
-                row_bytes = lane.read_bytes_to_latch(lay.data_rows[r])
-                arr.count_eval("M2_EVAL", lay.data_rows[r], lane.cell_cols,
-                               m2_batches)
-                m2 = M2_ARR[row_bytes]
-                lane.stage_bytes(m2, dst_slots=[0, 1], src_cols=[0, 1])
-                arr.write_back_row(lay.m2_rows[r])
-            # (b) T = s0^s1^s2^s3 by pairwise XORs through scratch rows
-            for dst, (ra, rb) in (
-                (lay.scratch_rows[0], (lay.data_rows[0], lay.data_rows[1])),
-                (lay.scratch_rows[1], (lay.data_rows[2], lay.data_rows[3])),
-                (lay.t_row, (lay.scratch_rows[0], lay.scratch_rows[1])),
-            ):
-                arr.read_row_to_capacitor(ra, lane.cell_cols)
-                arr.read_row_to_latch(rb, lane.cell_cols)
-                arr.sa_xor(lane.cell_cols)
-                lane.stage_latch()
-                arr.write_back_row(dst)
-            # (c) six steps per row: load T, XOR in 2*S_i, 2*S_{i+1},
-            # S_i, stage, write back over the data row
-            for r in range(4):
-                arr.read_row_to_latch(lay.t_row, lane.cell_cols)
-                for src in (
-                    lay.m2_rows[r],
-                    lay.m2_rows[(r + 1) % 4],
-                    lay.data_rows[r],
-                ):
-                    arr.read_row_to_capacitor(src, lane.cell_cols)
-                    arr.sa_xor(lane.cell_cols)
-                lane.stage_latch()
-                arr.write_back_row(lay.data_rows[r])
+        self._step("mix_columns")
 
     def seq_key_round_update(self, rnd):
         """Advance the shared key generator and overwrite the key rows
         with the new round key."""
-        if self.keygen is None:
+        if self.machine.keygen is None:
             raise SequencerError("no key loaded")
-        new_key = self.keygen.next_round(rnd)
-        key_state = new_key.reshape(self.batch, 4, 4).transpose(0, 2, 1)
-        for li, lane in enumerate(self.lanes):
-            for r in range(4):
-                lane.write_bytes(
-                    self.layout.key_rows[r], key_state[:, r, 2 * li:2 * li + 2]
-                )
-
-    # -- whole-block sequence -------------------------------------------
+        self._step("key_update", rnd)
 
     def encrypt_loaded(self):
-        """Run the initial AddRoundKey plus the 10 rounds on the loaded
-        block; MixColumns is skipped in the final round."""
-        self.seq_add_round_key()
-        for rnd in range(1, gfref.N_ROUNDS + 1):
-            self.seq_sub_bytes()
-            self.seq_shift_rows()
-            if rnd < gfref.N_ROUNDS:
-                self.seq_mix_columns()
-            self.seq_key_round_update(rnd)
-            self.seq_add_round_key()
+        """Run every phase between load and readout: the initial
+        AddRoundKey plus the 10 rounds."""
+        for phase in self.program.phases[1:-1]:
+            self._run(phase)

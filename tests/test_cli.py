@@ -217,3 +217,37 @@ def test_sweep_banks_halve_wall_cycles(tmp_path):
 @pytest.mark.parametrize("bad", ["0:2", "3:1", "x", "", "2,1"])
 def test_sweep_rejects_invalid_ranges(bad, capsys):
     assert cli.main(["sweep", "--sbox-units", bad]) == cli.EXIT_CONFIG
+
+
+# -- robustness -----------------------------------------------------------
+
+
+def test_metrics_invalid_frequency_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg", "freq.f_max_hz=-1\n")
+    assert cli.main(["metrics", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("dataset/config error:")
+    assert "f_max_hz" in err
+
+
+def test_non_finite_power_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg", "metrics.power_w=nan\n")
+    assert cli.main(["metrics", "--config", cfg]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert "E=nan" not in captured.out
+
+
+def test_non_finite_energy_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg", "cost.row_read.energy_pj=inf\n")
+    assert cli.main(["verify", "--blocks", "1", "--config", cfg]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert "energy_pJ_total=inf" not in captured.out
+
+
+@pytest.mark.parametrize("bytes_per_row", [1, 4])
+def test_unsupported_bytes_per_row_exits_3(tmp_path, capsys, bytes_per_row):
+    cfg = write(tmp_path / "run.cfg", "layout.bytes_per_row=%d\n" % bytes_per_row)
+    assert cli.main(["verify", "--blocks", "1", "--config", cfg]) == cli.EXIT_CONFIG
+    assert "bytes_per_row" in capsys.readouterr().err

@@ -103,3 +103,13 @@ def test_canonical_form_round_trips(tmp_path):
     path = tmp_path / "canon.cfg"
     path.write_text(config.canonical())
     assert RunConfig.load(str(path)).config_hash() == config.config_hash()
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_floats_rejected(tmp_path, raw):
+    path = tmp_path / "run.cfg"
+    path.write_text("metrics.power_w=%s\n" % raw)
+    with pytest.raises(ConfigError, match="non-finite"):
+        RunConfig.load(str(path))
+    with pytest.raises(ConfigError, match="non-finite"):
+        RunConfig({"cost.row_read.energy_pj": float(raw)})

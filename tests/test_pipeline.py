@@ -137,3 +137,13 @@ def test_bank_farm_validates_inputs():
         BankFarm(banks=1).run_banked(
             np.empty((0, 16), dtype=np.uint8), np.empty((0, 16), dtype=np.uint8)
         )
+
+
+def test_mismatched_plaintext_and_key_counts_rejected():
+    pts, keys = random_pairs(204, 5)
+    with pytest.raises(ConfigError, match="5 plaintext blocks but 3 keys"):
+        Pipeline().run_batch(pts, keys[:3])
+    with pytest.raises(ConfigError, match="3 plaintext blocks but 5 keys"):
+        BankFarm(banks=2).run_banked(pts[:3], keys)
+    with pytest.raises(ConfigError, match="whole 16-byte blocks"):
+        Pipeline().run_batch(pts.ravel()[:20], keys[:1])

@@ -1,0 +1,155 @@
+"""Equivalence pins for the compiled micro-op program: the trace, the
+per-block op counts and energy are fixed values, and ciphertexts match
+the gfref reference for every parallelism setting."""
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+from aesimc import cli, gfref
+from aesimc.config import RunConfig
+from aesimc.crossbar import ConfigError, CostTable, TraceRecorder
+from aesimc.pipeline import Pipeline
+from aesimc.program import compile_program
+from aesimc.sequencer import LaneLayout, LanePairSequencer, ParallelismConfig
+
+PT_HEX = "00112233445566778899aabbccddeeff"
+KEY_HEX = "000102030405060708090a0b0c0d0e0f"
+
+# sha256 of `encrypt --trace` for the FIPS-197 vector above: 3,168 events
+TRACE_SHA256 = "5ec7cf074fdd4e6af1e1b8e1de22103bc072003bd7bca0f2e2b8973d095ae296"
+
+BLOCK_COUNTS = {
+    "ROW_READ": 732,
+    "ROW_WRITE": 96,
+    "SA_XOR": 358,
+    "SBOX_EVAL": 80,
+    "M2_EVAL": 72,
+    "OFFSET_WRITE": 1464,
+    "BUFFER_WRITEBACK": 366,
+}
+BLOCK_ENERGY_PJ = 187905.604719764
+
+# energy per block by (sbox_units, m2_units); units beyond the two bytes
+# of a lane row change nothing
+UNIT_ENERGY_PJ = {
+    (1, 1): 206351.51786714414,
+    (1, 2): 197613.98006049005,
+    (2, 1): 196643.14252641777,
+    (2, 2): BLOCK_ENERGY_PJ,
+}
+
+
+def random_pairs(seed, n):
+    rng = random.Random(seed)
+    pts = np.empty((n, 16), dtype=np.uint8)
+    keys = np.empty((n, 16), dtype=np.uint8)
+    for i in range(n):
+        pts[i] = bytearray(rng.randbytes(16))
+        keys[i] = bytearray(rng.randbytes(16))
+    return pts, keys
+
+
+def test_trace_jsonl_is_pinned(tmp_path, capsys):
+    (tmp_path / "pts.txt").write_text(PT_HEX + "\n")
+    (tmp_path / "key.txt").write_text(KEY_HEX + "\n")
+    tr = tmp_path / "trace.jsonl"
+    assert cli.main(["encrypt", str(tmp_path / "pts.txt"),
+                     str(tmp_path / "key.txt"), "--out",
+                     str(tmp_path / "ct.txt"), "--trace", str(tr)]) == 0
+    assert hashlib.sha256(tr.read_bytes()).hexdigest() == TRACE_SHA256
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_block_counts_and_energy_are_pinned(batch):
+    pipe = Pipeline()
+    pts, keys = random_pairs(300 + batch, batch)
+    _, cycles, energy = pipe.run_batch(pts, keys)
+    assert cycles == 26
+    assert energy == BLOCK_ENERGY_PJ
+    assert pipe.trace.counts == BLOCK_COUNTS
+    assert pipe.trace.energy_pJ == BLOCK_ENERGY_PJ
+
+
+@pytest.mark.parametrize("sbox_units", range(1, 5))
+@pytest.mark.parametrize("m2_units", range(1, 5))
+def test_run_batch_matches_gfref(sbox_units, m2_units):
+    pipe = Pipeline(parallelism=ParallelismConfig(sbox_units, m2_units))
+    key = (min(sbox_units, 2), min(m2_units, 2))
+    for batch in (1, 7, 256):
+        pts, keys = random_pairs(1000 * sbox_units + 10 * m2_units + batch,
+                                 batch)
+        cts, cycles, energy = pipe.run_batch(pts, keys)
+        assert cts.shape == (batch, 16)
+        for i in range(batch):
+            assert bytes(cts[i]) == gfref.encrypt_block(
+                bytes(pts[i]), bytes(keys[i]))
+        assert cycles == 26
+        assert energy == UNIT_ENERGY_PJ[key]
+
+
+def test_bank_farms_share_one_compiled_program():
+    config = RunConfig()
+    farms = [config.bank_farm(banks=2), config.bank_farm(banks=3)]
+    pts, keys = random_pairs(400, 6)
+    results = [farm.run_banked(pts, keys)[0] for farm in farms]
+    assert np.array_equal(results[0], results[1])
+    programs = {id(pipe.program()) for farm in farms for pipe in farm.pipelines}
+    assert len(programs) == 1
+    # one fold serves every bank
+    assert all(pipe.trace.energy_pJ == BLOCK_ENERGY_PJ
+               for farm in farms for pipe in farm.pipelines)
+
+
+def test_scattered_layout_matches_gfref_and_keeps_counts():
+    layout = LaneLayout(data_rows=(9, 2, 14, 5), key_rows=(0, 11, 7, 3),
+                        m2_rows=(1, 13, 6, 10), t_row=15,
+                        scratch_rows=(4, 12, 8))
+    pipe = Pipeline(layout=layout, trace_detail=True)
+    pts, keys = random_pairs(500, 7)
+    cts, _, energy = pipe.run_batch(pts, keys)
+    for i in range(7):
+        assert bytes(cts[i]) == gfref.encrypt_block(bytes(pts[i]), bytes(keys[i]))
+    assert pipe.trace.counts == BLOCK_COUNTS
+    assert energy == BLOCK_ENERGY_PJ
+    written = {e.row for e in pipe.trace.events if e.op == "BUFFER_WRITEBACK"}
+    assert written == {9, 2, 14, 5, 1, 13, 6, 10, 15, 4, 12}
+
+
+def test_stepwise_phases_match_the_whole_program():
+    pts, keys = random_pairs(600, 5)
+    pipe = Pipeline(trace_detail=True)
+    cts, _, _ = pipe.run_batch(pts, keys)
+    trace = TraceRecorder(detail=True)
+    seq = LanePairSequencer(CostTable.default(), trace, batch=5)
+    seq.load_block(pts, keys)
+    seq.seq_add_round_key()
+    for rnd in range(1, 11):
+        seq.seq_sub_bytes()
+        seq.seq_shift_rows()
+        if rnd < 10:
+            seq.seq_mix_columns()
+        seq.seq_key_round_update(rnd)
+        seq.seq_add_round_key()
+    assert np.array_equal(seq.readout_block(), cts)
+    assert trace.counts == pipe.trace.counts
+    assert trace.energy_pJ == pipe.trace.energy_pJ
+    strip = [(e.lane, e.op, e.row, e.col_mask, e.energy_pJ) for e in trace.events]
+    assert strip == [(e.lane, e.op, e.row, e.col_mask, e.energy_pJ)
+                     for e in pipe.trace.events]
+    assert seq.crosslane_bytes == 80
+
+
+@pytest.mark.parametrize("rows, layout, message", [
+    (8, LaneLayout(), "outside geometry"),
+    (16, LaneLayout(bytes_per_row=1), "bytes_per_row"),
+    (16, LaneLayout(bytes_per_row=3), "bytes_per_row"),
+])
+def test_compile_rejects_unsupported_configurations(rows, layout, message):
+    with pytest.raises(ConfigError, match=message):
+        compile_program(layout, ParallelismConfig(), rows, 16)
+    with pytest.raises(ConfigError, match=message):
+        Pipeline(layout=layout, rows=rows).run_block(bytes(16), bytes(16))
