@@ -3,8 +3,9 @@ simulator against the golden reference over seeded random blocks,
 regenerate the published comparison tables, and sweep the parallelism /
 bank knobs into a CSV report.
 
-Exit codes: 0 ok, 1 verification mismatch, 2 input format error,
-3 config/dataset error.
+Exit codes: 0 ok, 1 verification mismatch, 2 input format error (also
+an unreadable or non-UTF-8 encrypt input), 3 config/dataset error (also
+an unreadable or non-UTF-8 config file, or an unwritable output).
 """
 
 import argparse
@@ -29,20 +30,24 @@ EXIT_CONFIG = 3
 
 def _read_hex_blocks(path):
     """Read one 32-hex-char block per line; returns (blocks, error)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        return None, "%s: %s" % (path, exc)
     blocks = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if len(text) != 32:
-                return None, "%s:%d: expected 32 hex chars, got %d" % (
-                    path, lineno, len(text)
-                )
-            try:
-                blocks.append(bytes.fromhex(text))
-            except ValueError:
-                return None, "%s:%d: invalid hex" % (path, lineno)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if len(text) != 32:
+            return None, "%s:%d: expected 32 hex chars, got %d" % (
+                path, lineno, len(text)
+            )
+        try:
+            blocks.append(bytes.fromhex(text))
+        except ValueError:
+            return None, "%s:%d: invalid hex" % (path, lineno)
     return blocks, None
 
 
@@ -65,13 +70,7 @@ def _write_trace(path, trace):
 
 
 def cmd_encrypt(args):
-    try:
-        config = RunConfig.load(args.config)
-        pipeline = config.pipeline(trace_detail=bool(args.trace))
-    except (ConfigError, OSError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-
+    pipeline = RunConfig.load(args.config).pipeline(trace_detail=bool(args.trace))
     blocks, err = _read_hex_blocks(args.input)
     if err is None:
         key_blocks, err = _read_hex_blocks(args.key)
@@ -115,13 +114,7 @@ def cmd_verify(args):
     if args.blocks < 1:
         print("config error: --blocks must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        config = RunConfig.load(args.config)
-        farm = config.bank_farm(banks=args.banks)
-    except (ConfigError, OSError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-
+    farm = RunConfig.load(args.config).bank_farm(banks=args.banks)
     pts, keys = _random_blocks(args.seed, args.blocks)
     cts, report = farm.run_banked(pts, keys)
     for i in range(args.blocks):
@@ -156,30 +149,14 @@ def cmd_verify(args):
 
 
 def cmd_metrics(args):
-    try:
-        config = RunConfig.load(args.config)
-        rows = metrics.load_baselines(args.baselines)
-        inp = metrics.MetricsInput(
-            f_max_hz=config["freq.f_max_hz"],
-            latency_cycles=config.schedule().total_cycles_per_block,
-            slices=config["metrics.slices"],
-            power_W=config["metrics.power_w"],
-            ciphers=config["metrics.ciphers"],
-            f_rf_hz=config["freq.f_rf_hz"],
-            f_uniform_hz=config["freq.f_uniform_hz"],
-            block_size_bits=config["metrics.block_size_bits"],
-            bytes_per_cipher=config["metrics.bytes_per_cipher"],
-        )
-        report = metrics.build_report(inp)
-        entries = metrics.audit_baselines(
-            rows, f_rf_hz=config["freq.f_rf_hz"],
-            f_uniform_hz=config["freq.f_uniform_hz"],
-        )
-        records = metrics.compare_against_baselines(report, rows)
-    except (ConfigError, MetricsError, OSError) as exc:
-        print("dataset/config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-
+    config = RunConfig.load(args.config)
+    rows = metrics.load_baselines(args.baselines)
+    report = metrics.build_report(config.metrics_input())
+    entries = metrics.audit_baselines(
+        rows, f_rf_hz=config["freq.f_rf_hz"],
+        f_uniform_hz=config["freq.f_uniform_hz"],
+    )
+    records = metrics.compare_against_baselines(report, rows)
     print("# regenerated AES-IMC row (config=%s)" % config.config_hash())
     print(
         "Thr=%.2f Mbps  Thr/SLC=%.4f Mbps  Thr*=%.2f Mbps  E=%.4f uJ  "
@@ -239,15 +216,10 @@ def _parse_range(text, name):
 
 
 def cmd_sweep(args):
-    try:
-        config = RunConfig.load(args.config)
-        sbox_values = _parse_range(args.sbox_units, "sbox_units")
-        m2_values = _parse_range(args.m2_units, "m2_units")
-        bank_values = _parse_range(str(args.banks), "banks")
-    except (ConfigError, OSError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-
+    config = RunConfig.load(args.config)
+    sbox_values = _parse_range(args.sbox_units, "sbox_units")
+    m2_values = _parse_range(args.m2_units, "m2_units")
+    bank_values = _parse_range(str(args.banks), "banks")
     f_max = config["freq.f_max_hz"]
     rows = []
     for sbox_units in sbox_values:
@@ -255,14 +227,7 @@ def cmd_sweep(args):
             for banks in bank_values:
                 point = RunConfig(
                     {
-                        **{
-                            k: v
-                            for k, v in config.entries.items()
-                            if k in ("banks",) or k.startswith(
-                                ("cost.", "geometry.", "layout.", "freq.",
-                                 "schedule.", "pipeline.", "metrics.")
-                            )
-                        },
+                        **config.entries,
                         "parallelism.sbox_units": sbox_units,
                         "parallelism.m2_units": m2_units,
                         "banks": banks,
@@ -271,8 +236,7 @@ def cmd_sweep(args):
                 farm = point.bank_farm()
                 pts, keys = _random_blocks(args.seed, 1)
                 _, rep = farm.run_banked(pts, keys)
-                pipe = farm.pipelines[0]
-                wall = pipe.stream_cycles(-(-args.blocks // banks))
+                wall = farm.pipeline.stream_cycles(-(-args.blocks // banks))
                 rows.append(
                     {
                         "sbox_units": sbox_units,
@@ -355,7 +319,11 @@ def main(argv=None):
         return args.func(args)
     except CrossbarError as exc:
         print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
+    except MetricsError as exc:
+        print("dataset/config error: %s" % exc, file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print("file error: %s" % exc, file=sys.stderr)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

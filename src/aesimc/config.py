@@ -1,40 +1,29 @@
 """Run configuration: flat key=value files with dotted section prefixes,
-validated against a complete default set. Unknown keys are rejected and
-the configuration hash is stable under key reordering."""
+validated against a complete default set. The layout, parallelism and
+cost defaults are those of the model classes that own them. Unknown keys
+are rejected and the configuration hash is stable under key reordering."""
 
 import hashlib
 import math
+from dataclasses import fields
 
 from .crossbar import ConfigError, CostTable, MICRO_OP_KINDS, OpCost
 from .pipeline import BankFarm, Pipeline, Schedule
 from .sequencer import LaneLayout, ParallelismConfig
 
-_INT_LIST_KEYS = {
-    "layout.data_rows",
-    "layout.key_rows",
-    "layout.m2_rows",
-    "layout.scratch_rows",
-}
+# Config sections whose keys are the fields of a model class, with the
+# class's own defaults.
+_MODELS = {"layout": LaneLayout, "parallelism": ParallelismConfig}
 
 
 def _default_entries():
     entries = {
         "geometry.rows": 16,
         "geometry.cols": 16,
-        "layout.data_rows": (0, 1, 2, 3),
-        "layout.key_rows": (4, 5, 6, 7),
-        "layout.m2_rows": (8, 9, 10, 11),
-        "layout.t_row": 12,
-        "layout.scratch_rows": (13, 14, 15),
-        "layout.bytes_per_row": 2,
-        "parallelism.sbox_units": 2,
-        "parallelism.m2_units": 2,
-        "schedule.preset": "ref26",
         "schedule.total_cycles_per_block": 0,  # 0 = derived, else checked
         "schedule.crosslane_extra_cycles_per_byte": 0,
         "pipeline.initiation_interval": 0,  # 0 = block latency
         "banks": 1,
-        "seed": 0,
         "freq.f_max_hz": 108.9e6,
         "freq.f_rf_hz": 13.56e6,
         "freq.f_uniform_hz": 30e6,
@@ -44,6 +33,9 @@ def _default_entries():
         "metrics.bytes_per_cipher": 16,
         "metrics.block_size_bits": 128,
     }
+    for section, model in _MODELS.items():
+        for field in fields(model):
+            entries["%s.%s" % (section, field.name)] = field.default
     for kind, cost in CostTable.default().entries.items():
         entries["cost.%s.cycles" % kind.lower()] = cost.cycles
         entries["cost.%s.energy_pj" % kind.lower()] = cost.energy_pJ
@@ -51,17 +43,15 @@ def _default_entries():
 
 
 def _parse_value(key, raw, default):
+    """raw parsed as the type of the key's default; a tuple default takes
+    a comma-separated list of ints."""
     raw = raw.strip()
     try:
-        if key in _INT_LIST_KEYS:
+        if isinstance(default, tuple):
             return tuple(int(x) for x in raw.split(",") if x.strip() != "")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        return type(default)(raw)
     except ValueError:
         raise ConfigError("bad value for %s: %r" % (key, raw))
-    return raw
 
 
 class RunConfig:
@@ -75,11 +65,9 @@ class RunConfig:
                 raise ConfigError("unknown config key: %s" % key)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError("non-finite value for %s: %r" % (key, value))
+            if isinstance(self.entries[key], tuple):
+                value = tuple(value)
             self.entries[key] = value
-        if self.entries["schedule.preset"] != "ref26":
-            raise ConfigError(
-                "unknown schedule preset: %s" % self.entries["schedule.preset"]
-            )
 
     @classmethod
     def load(cls, path=None):
@@ -87,7 +75,7 @@ class RunConfig:
             return cls()
         defaults = _default_entries()
         overrides = {}
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -139,21 +127,16 @@ class RunConfig:
             }
         )
 
+    def _model(self, section):
+        model = _MODELS[section]
+        return model(**{f.name: self.entries["%s.%s" % (section, f.name)]
+                        for f in fields(model)})
+
     def layout(self):
-        return LaneLayout(
-            data_rows=tuple(self.entries["layout.data_rows"]),
-            key_rows=tuple(self.entries["layout.key_rows"]),
-            m2_rows=tuple(self.entries["layout.m2_rows"]),
-            t_row=self.entries["layout.t_row"],
-            scratch_rows=tuple(self.entries["layout.scratch_rows"]),
-            bytes_per_row=self.entries["layout.bytes_per_row"],
-        )
+        return self._model("layout")
 
     def parallelism(self):
-        return ParallelismConfig(
-            sbox_units=self.entries["parallelism.sbox_units"],
-            m2_units=self.entries["parallelism.m2_units"],
-        )
+        return self._model("parallelism")
 
     def schedule(self, cost_table=None):
         sched = Schedule.from_cost_table(
@@ -166,6 +149,25 @@ class RunConfig:
         if declared:
             return Schedule(sched.stages, declared_total=declared)
         return sched
+
+    def metrics_input(self):
+        """The AES-IMC row's metric inputs: this config's clocks and
+        published figures, at the latency of its schedule."""
+        # imported here so that building a pipeline does not load metrics
+        from .metrics import MetricsInput
+
+        e = self.entries
+        return MetricsInput(
+            f_max_hz=e["freq.f_max_hz"],
+            latency_cycles=self.schedule().total_cycles_per_block,
+            slices=e["metrics.slices"],
+            power_W=e["metrics.power_w"],
+            ciphers=e["metrics.ciphers"],
+            f_rf_hz=e["freq.f_rf_hz"],
+            f_uniform_hz=e["freq.f_uniform_hz"],
+            block_size_bits=e["metrics.block_size_bits"],
+            bytes_per_cipher=e["metrics.bytes_per_cipher"],
+        )
 
     def pipeline_kwargs(self, trace_detail=False):
         cost = self.cost_table()

@@ -11,6 +11,8 @@ import csv
 from dataclasses import dataclass
 from importlib import resources
 
+# Clocks and sizes of the published tables; the audit recomputes the
+# published rows at these.
 F_RF_HZ = 13.56e6
 F_UNIFORM_HZ = 30e6
 BLOCK_SIZE_BITS = 128
@@ -72,15 +74,18 @@ def data_processing_rate(ciphers, f_hz, bytes_per_cipher, latency_cycles):
 
 @dataclass(frozen=True)
 class MetricsInput:
+    """Inputs of the metric formulas; RunConfig.metrics_input builds the
+    AES-IMC row's from the run configuration."""
+
     f_max_hz: float
     latency_cycles: int
     slices: int
     power_W: float
     ciphers: int
-    f_rf_hz: float = F_RF_HZ
-    f_uniform_hz: float = F_UNIFORM_HZ
-    block_size_bits: int = BLOCK_SIZE_BITS
-    bytes_per_cipher: int = BYTES_PER_CIPHER
+    f_rf_hz: float
+    f_uniform_hz: float
+    block_size_bits: int
+    bytes_per_cipher: int
 
     def __post_init__(self):
         for name in (
@@ -89,14 +94,6 @@ class MetricsInput:
         ):
             if getattr(self, name) <= 0:
                 raise MetricsError("%s must be strictly positive" % name)
-
-    @classmethod
-    def aes_imc_default(cls):
-        # AES-IMC rows of the published tables
-        return cls(
-            f_max_hz=108.9e6, latency_cycles=26, slices=468,
-            power_W=0.098, ciphers=24096,
-        )
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,6 @@ from .crossbar import ConfigError, CostTable, TraceRecorder
 from .program import TraceEvents, compile_program
 from .sequencer import LaneLayout, ParallelismConfig
 
-# Name prefixes of the schedule stages the program's phases run in, in
-# order; a phase's stage is an index into this sequence.
-STAGE_PREFIXES = ("load", "initial_ark") + ("round_",) * gfref.N_ROUNDS + ("drain",)
-
 
 def _block_pairs(plaintexts, keys):
     """Plaintexts and keys as (n, 16) uint8 arrays, one key per block."""
@@ -56,6 +52,8 @@ class Schedule:
                 raise ConfigError("negative stage budget: %s" % st.name)
         self.stages = list(stages)
         total = sum(st.cycles for st in stages)
+        if total < 1:
+            raise ConfigError("schedule must take at least one cycle")
         if declared_total is not None and declared_total != total:
             raise ConfigError(
                 "declared total %d != stage sum %d" % (declared_total, total)
@@ -140,19 +138,17 @@ class Pipeline:
         Pipeline of the same layout, parallelism and geometry."""
         return compile_program(self.layout, self.parallelism, self.rows, self.cols)
 
-    def _stage_starts(self):
-        """Start cycle of each schedule stage, checked against the stage
-        order the program runs in."""
-        stages = self.schedule.stages
-        starts = []
+    def _stage_starts(self, program):
+        """Start cycle of each schedule stage, by name; every stage the
+        program runs in must be in the schedule."""
+        starts = {}
         cursor = 0
-        for i, prefix in enumerate(STAGE_PREFIXES):
-            if i >= len(stages):
-                raise ConfigError("schedule has no stage %s*" % prefix)
-            if not stages[i].name.startswith(prefix):
-                raise ConfigError("schedule stage %s out of order" % stages[i].name)
-            starts.append(cursor)
-            cursor += stages[i].cycles
+        for st in self.schedule.stages:
+            starts[st.name] = cursor
+            cursor += st.cycles
+        missing = [name for name in program.stages if name not in starts]
+        if missing:
+            raise ConfigError("schedule has no stage %s" % ", ".join(missing))
         return starts
 
     def run_batch(self, plaintexts, keys):
@@ -161,7 +157,7 @@ class Pipeline:
         energy_per_block_pJ)."""
         plaintexts, keys = _block_pairs(plaintexts, keys)
         program = self.program()
-        starts = self._stage_starts()
+        starts = self._stage_starts(program)
         cts = program.run(plaintexts, keys)
         trace = self.trace
         trace.reset()
@@ -204,35 +200,30 @@ class Pipeline:
 
 class BankFarm:
     """Independent banks encrypting blocks concurrently, fed round-robin.
-    A shared key generator is modeled per lane pair; results are
-    independent of the bank count."""
+    Every bank runs the same program, so one pass over all blocks serves
+    them all; the banks set only the wall-clock cycles. A shared key
+    generator is modeled per lane pair; results are independent of the
+    bank count."""
 
     def __init__(self, banks=1, **pipeline_kwargs):
         if banks < 1:
             raise ConfigError("banks must be >= 1")
         self.banks = banks
-        self.pipelines = [
-            Pipeline(bank=i, **pipeline_kwargs) for i in range(banks)
-        ]
+        self.pipeline = Pipeline(**pipeline_kwargs)
 
     def run_banked(self, plaintexts, keys):
-        plaintexts, keys = _block_pairs(plaintexts, keys)
-        n = plaintexts.shape[0]
-        cts = np.empty_like(plaintexts)
+        pipe = self.pipeline
+        cts, per_block, energy_per_block = pipe.run_batch(plaintexts, keys)
+        n = len(cts)
+        # summed bank by bank, as the banks would report their shares
         energy_total = 0.0
-        wall_cycles = 0
-        for b, pipe in enumerate(self.pipelines[:n]):
-            share = slice(b, n, self.banks)
-            bank_cts, report = pipe.run_stream(plaintexts[share], keys[share])
-            cts[share] = bank_cts
-            energy_total += report.energy_pJ_total
-            wall_cycles = max(wall_cycles, report.cycles_total)
-        per_block = self.pipelines[0].schedule.total_cycles_per_block
+        for b in range(min(self.banks, n)):
+            energy_total += energy_per_block * len(range(b, n, self.banks))
         return cts, AggregateReport(
             blocks=n,
-            cycles_total=wall_cycles,
+            cycles_total=pipe.stream_cycles(-(-n // self.banks)),
             energy_pJ_total=energy_total,
             cycles_per_block=per_block,
             energy_per_block_pJ=energy_total / n,
-            config_hash=self.pipelines[0].config_hash,
+            config_hash=pipe.config_hash,
         )

@@ -184,7 +184,7 @@ class Instr(namedtuple("Instr", "fn args ops")):
 
 class Phase(namedtuple("Phase", "name rnd stage instrs ops crosslane_bytes")):
     """One AES phase: its instructions and, in trace order, their micro-ops
-    (lane, kind, row, col_mask, count), lane 0's first. stage indexes the
+    (lane, kind, row, col_mask, count), lane 0's first. stage names the
     schedule stage the phase runs in."""
 
     __slots__ = ()
@@ -193,19 +193,21 @@ class Phase(namedtuple("Phase", "name rnd stage instrs ops crosslane_bytes")):
 def _phase(name, instrs, crosslane_bytes=0):
     ops = tuple((lane,) + op
                 for lane in (0, 1) for ins in instrs for op in ins.ops)
-    return Phase(name, 0, 0, tuple(instrs), ops, crosslane_bytes)
+    return Phase(name, 0, None, tuple(instrs), ops, crosslane_bytes)
 
 
 class Program:
     """The whole-block micro-op program of one configuration: its phases
-    in order, their instructions flattened for a run, and the per-kind
-    micro-op counts of one block. Built and validated by compile_program,
-    then shared and never modified."""
+    in order, the schedule stages they run in, their instructions
+    flattened for a run, and the per-kind micro-op counts of one block.
+    Built and validated by compile_program, then shared and never
+    modified."""
 
     def __init__(self, rows, cols, phases):
         self.rows = rows
         self.cols = cols
         self.phases = tuple(phases)
+        self.stages = tuple(dict.fromkeys(ph.stage for ph in self.phases))
         self.instrs = tuple(i for ph in self.phases for i in ph.instrs)
         counts = dict.fromkeys(MICRO_OP_KINDS, 0)
         for ph in self.phases:
@@ -302,11 +304,6 @@ def compile_program(layout, parallelism, rows, cols):
     layout.validate(rows)
     if 2 * layout.bytes_per_row > cols:
         raise ConfigError("lane too narrow for bytes_per_row")
-    if layout.bytes_per_row != 2:
-        raise ConfigError(
-            "layout.bytes_per_row=%d unsupported: each lane row holds the "
-            "two bytes of its two state columns" % layout.bytes_per_row
-        )
     D, K, M = layout.data_rows, layout.key_rows, layout.m2_rows
     s0, s1 = layout.scratch_rows[:2]
     t = layout.t_row
@@ -354,17 +351,16 @@ def compile_program(layout, parallelism, rows, cols):
     readout = _phase("readout", [Instr(_readout, (data,), tuple(
         _read(row)[0] for row in D))])
 
-    # The round sequence. Stages: 0 load, 1 initial AddRoundKey, 1 + rnd
-    # round rnd, N_ROUNDS + 2 drain; MixColumns is skipped in the last round.
-    phases = [load, ark._replace(stage=1)]
+    # The round sequence, each phase stamped with the name of its schedule
+    # stage; MixColumns is skipped in the last round.
+    phases = [load._replace(stage="load"), ark._replace(stage="initial_ark")]
     for rnd in range(1, gfref.N_ROUNDS + 1):
-        at = {"rnd": rnd, "stage": 1 + rnd}
+        at = {"rnd": rnd, "stage": "round_%d" % rnd}
         phases += [sub._replace(**at), shift._replace(**at)]
         if rnd < gfref.N_ROUNDS:
             phases.append(mix._replace(**at))
         phases.append(key_update._replace(
             instrs=(Instr(_key_update, (key, rnd), key_writes),), **at))
         phases.append(ark._replace(**at))
-    phases.append(readout._replace(rnd=gfref.N_ROUNDS,
-                                   stage=gfref.N_ROUNDS + 2))
+    phases.append(readout._replace(rnd=gfref.N_ROUNDS, stage="drain"))
     return Program(rows, cols, phases)

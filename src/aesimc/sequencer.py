@@ -42,7 +42,9 @@ class LaneLayout:
     m2_rows: tuple = (8, 9, 10, 11)
     t_row: int = 12
     scratch_rows: tuple = (13, 14, 15)
-    bytes_per_row: int = 2
+    # fixed by the datapath: a lane row holds one byte of each of the
+    # lane's two state columns
+    bytes_per_row = 2
 
     def validate(self, rows):
         groups = [
@@ -63,8 +65,6 @@ class LaneLayout:
             raise ConfigError("need 4 M-2 buffer rows")
         if len(self.scratch_rows) < 2:
             raise ConfigError("need at least 2 scratch rows")
-        if self.bytes_per_row < 1:
-            raise ConfigError("bytes_per_row must be >= 1")
 
 
 @dataclass(frozen=True)

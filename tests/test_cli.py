@@ -4,8 +4,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from aesimc import cli
+from aesimc.config import RunConfig
 
 PT_HEX = "00112233445566778899aabbccddeeff"
 KEY_HEX = "000102030405060708090a0b0c0d0e0f"
@@ -214,6 +217,23 @@ def test_sweep_banks_halve_wall_cycles(tmp_path):
     assert walls["1"] == 2 * walls["2"]
 
 
+def test_sweep_rows_carry_their_point_config_hash(tmp_path):
+    import csv
+
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--sbox-units", "1,3", "--m2-units", "2",
+                     "--banks", "1,2", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 4
+    for row in rows:
+        point = RunConfig({
+            "parallelism.sbox_units": int(row["sbox_units"]),
+            "parallelism.m2_units": int(row["m2_units"]),
+            "banks": int(row["banks"]),
+        })
+        assert row["config_hash"] == point.config_hash()
+
+
 @pytest.mark.parametrize("bad", ["0:2", "3:1", "x", "", "2,1"])
 def test_sweep_rejects_invalid_ranges(bad, capsys):
     assert cli.main(["sweep", "--sbox-units", bad]) == cli.EXIT_CONFIG
@@ -251,3 +271,84 @@ def test_unsupported_bytes_per_row_exits_3(tmp_path, capsys, bytes_per_row):
     cfg = write(tmp_path / "run.cfg", "layout.bytes_per_row=%d\n" % bytes_per_row)
     assert cli.main(["verify", "--blocks", "1", "--config", cfg]) == cli.EXIT_CONFIG
     assert "bytes_per_row" in capsys.readouterr().err
+
+
+# -- file errors ------------------------------------------------------------
+
+NOT_UTF8 = b"\xff\xfe" + PT_HEX.encode() + b"\n"
+
+FILE_ERRORS = {
+    "missing-input": (["encrypt", "missing.txt", "key.txt"], cli.EXIT_INPUT),
+    "missing-key": (["encrypt", "pts.txt", "missing.txt"], cli.EXIT_INPUT),
+    "non-utf8-input": (["encrypt", "bad.txt", "key.txt"], cli.EXIT_INPUT),
+    "non-utf8-key": (["encrypt", "pts.txt", "bad.txt"], cli.EXIT_INPUT),
+    "encrypt-out": (["encrypt", "pts.txt", "key.txt", "--out", "no/dir"],
+                    cli.EXIT_CONFIG),
+    "encrypt-trace": (["encrypt", "pts.txt", "key.txt", "--trace", "no/dir"],
+                      cli.EXIT_CONFIG),
+    "sweep-out": (["sweep", "--sbox-units", "1", "--m2-units", "1",
+                   "--out", "no/dir"], cli.EXIT_CONFIG),
+    "metrics-out": (["metrics", "--out", "no/dir"], cli.EXIT_CONFIG),
+    "missing-config": (["verify", "--blocks", "1", "--config", "missing.cfg"],
+                       cli.EXIT_CONFIG),
+    "non-utf8-config": (["verify", "--blocks", "1", "--config", "bad.txt"],
+                        cli.EXIT_CONFIG),
+    "non-utf8-baselines": (["metrics", "--baselines", "bad.txt"],
+                           cli.EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", FILE_ERRORS)
+def test_file_errors_exit_with_their_code(tmp_path, monkeypatch, capsys, case):
+    argv, code = FILE_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "pts.txt", PT_HEX + "\n")
+    write(tmp_path / "key.txt", KEY_HEX + "\n")
+    (tmp_path / "bad.txt").write_bytes(NOT_UTF8)
+    assert cli.main(argv) == code
+    prefix = "input error:" if code == cli.EXIT_INPUT else "file error:"
+    assert capsys.readouterr().err.splitlines()[-1].startswith(prefix)
+
+
+# -- exit codes under generated config files ---------------------------------
+
+CONFIG_KEYS = sorted(RunConfig().entries)
+
+config_values = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(-1e3, 1e9).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "", "1.5", "0x10", "two"]),
+    st.lists(st.integers(-2, 20), max_size=5).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.text(st.characters(exclude_categories=("Cs", "Cc")), max_size=6),
+)
+config_lines = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS), config_values).map(
+        lambda kv: ("%s=%s" % kv).encode()),
+    st.sampled_from(["warp.factor=9", "seed=1", "schedule.preset=ref26",
+                     "layout.bytes_per_row=2", "banks"]).map(str.encode),
+    st.binary(max_size=6),
+)
+ZERO_CYCLES = b"".join(b"cost.%s.cycles=0\n" % kind for kind in (
+    b"row_write", b"sa_xor", b"sbox_eval", b"m2_eval", b"buffer_writeback",
+)) + b"pipeline.initiation_interval=1\n"
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(config_lines, max_size=4).map(b"\n".join))
+@example(NOT_UTF8)
+@example(ZERO_CYCLES)
+def test_generated_configs_end_in_a_documented_exit_code(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    pts = write(tmp_path / "pts.txt", PT_HEX + "\n")
+    key = write(tmp_path / "key.txt", KEY_HEX + "\n")
+    for argv in (
+        ["verify", "--blocks", "2"],
+        ["sweep", "--sbox-units", "1", "--m2-units", "2", "--blocks", "3",
+         "--out", str(tmp_path / "sweep.csv")],
+        ["metrics", "--out", str(tmp_path / "cmp.csv")],
+        ["encrypt", pts, key, "--out", str(tmp_path / "ct.txt")],
+    ):
+        assert cli.main(argv + ["--config", str(cfg)]) in (0, 2, 3)

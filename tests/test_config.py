@@ -5,6 +5,7 @@ import pytest
 from aesimc.config import RunConfig
 from aesimc.crossbar import ConfigError
 from aesimc.pipeline import BankFarm, Pipeline
+from aesimc.sequencer import LaneLayout, ParallelismConfig
 
 
 def test_defaults_build_a_working_pipeline():
@@ -15,6 +16,12 @@ def test_defaults_build_a_working_pipeline():
     assert isinstance(pipe, Pipeline)
     assert pipe.schedule.total_cycles_per_block == 26
     assert isinstance(config.bank_farm(banks=2), BankFarm)
+
+
+def test_default_config_builds_the_default_model():
+    config = RunConfig()
+    assert config.layout() == LaneLayout()
+    assert config.parallelism() == ParallelismConfig()
 
 
 def test_unknown_key_rejected_with_line_number(tmp_path):
@@ -47,8 +54,8 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 def test_hash_stable_under_key_reordering(tmp_path):
     a = tmp_path / "a.cfg"
     b = tmp_path / "b.cfg"
-    a.write_text("banks=2\nseed=9\nparallelism.sbox_units=4\n")
-    b.write_text("parallelism.sbox_units=4\nseed=9\nbanks=2\n")
+    a.write_text("banks=2\nparallelism.m2_units=3\nparallelism.sbox_units=4\n")
+    b.write_text("parallelism.sbox_units=4\nparallelism.m2_units=3\nbanks=2\n")
     assert RunConfig.load(str(a)).config_hash() == RunConfig.load(str(b)).config_hash()
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from aesimc import metrics
+from aesimc.config import RunConfig
 from aesimc.metrics import (
     MetricsError,
     MetricsInput,
@@ -22,7 +23,7 @@ from aesimc.metrics import (
 
 
 def aes_imc_report():
-    return build_report(MetricsInput.aes_imc_default())
+    return build_report(RunConfig().metrics_input())
 
 
 # -- formula values -----------------------------------------------------
@@ -82,7 +83,8 @@ def test_formula_input_validation():
         data_processing_rate(0, 30e6, 16, 26)
     with pytest.raises(MetricsError):
         MetricsInput(f_max_hz=1e6, latency_cycles=0, slices=1, power_W=1,
-                     ciphers=1)
+                     ciphers=1, f_rf_hz=1e6, f_uniform_hz=1e6,
+                     block_size_bits=128, bytes_per_cipher=16)
 
 
 # -- bundled dataset ----------------------------------------------------

@@ -37,6 +37,15 @@ def test_schedule_rejects_declared_total_mismatch():
         Schedule(stages, declared_total=26)
     with pytest.raises(ConfigError):
         Schedule([ScheduleStage("load", -1)])
+    with pytest.raises(ConfigError, match="at least one cycle"):
+        Schedule([ScheduleStage("load", 0), ScheduleStage("drain", 0)])
+
+
+def test_schedule_without_a_program_stage_is_rejected():
+    stages = Schedule.from_cost_table(CostTable.default()).stages[:-1]
+    pipe = Pipeline(schedule=Schedule(stages))
+    with pytest.raises(ConfigError, match="schedule has no stage drain"):
+        pipe.run_block(PT, KEY)
 
 
 def test_doubled_latencies_double_the_recomputed_schedule():
@@ -110,6 +119,16 @@ def test_trace_events_sum_to_reported_energy():
     assert cycles[0] == 0 and cycles[-1] < 26
 
 
+# energy_pJ_total of the 37 blocks below: each bank's share is summed in
+# bank order, so the last digit moves with the split
+BANKED_ENERGY_PJ = {
+    1: 6952507.374631268,
+    2: 6952507.374631268,
+    4: 6952507.374631269,
+    8: 6952507.374631269,
+}
+
+
 @pytest.mark.parametrize("banks", [1, 2, 4, 8])
 def test_banked_results_independent_of_bank_count(banks):
     pts, keys = random_pairs(202, 37)
@@ -120,6 +139,7 @@ def test_banked_results_independent_of_bank_count(banks):
     # wall-clock cycles follow the most loaded bank
     most_loaded = -(-37 // banks)
     assert report.cycles_total == 26 + (most_loaded - 1) * 26
+    assert report.energy_pJ_total == BANKED_ENERGY_PJ[banks]
 
 
 def test_more_banks_reduce_wall_cycles():

@@ -97,11 +97,11 @@ def test_bank_farms_share_one_compiled_program():
     pts, keys = random_pairs(400, 6)
     results = [farm.run_banked(pts, keys)[0] for farm in farms]
     assert np.array_equal(results[0], results[1])
-    programs = {id(pipe.program()) for farm in farms for pipe in farm.pipelines}
+    programs = {id(farm.pipeline.program()) for farm in farms}
     assert len(programs) == 1
     # one fold serves every bank
-    assert all(pipe.trace.energy_pJ == BLOCK_ENERGY_PJ
-               for farm in farms for pipe in farm.pipelines)
+    assert all(farm.pipeline.trace.energy_pJ == BLOCK_ENERGY_PJ
+               for farm in farms)
 
 
 def test_scattered_layout_matches_gfref_and_keeps_counts():
@@ -145,8 +145,6 @@ def test_stepwise_phases_match_the_whole_program():
 
 @pytest.mark.parametrize("rows, layout, message", [
     (8, LaneLayout(), "outside geometry"),
-    (16, LaneLayout(bytes_per_row=1), "bytes_per_row"),
-    (16, LaneLayout(bytes_per_row=3), "bytes_per_row"),
 ])
 def test_compile_rejects_unsupported_configurations(rows, layout, message):
     with pytest.raises(ConfigError, match=message):
