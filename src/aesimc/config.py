@@ -20,7 +20,6 @@ def _default_entries():
     entries = {
         "geometry.rows": 16,
         "geometry.cols": 16,
-        "schedule.total_cycles_per_block": 0,  # 0 = derived, else checked
         "schedule.crosslane_extra_cycles_per_byte": 0,
         "pipeline.initiation_interval": 0,  # 0 = block latency
         "banks": 1,
@@ -138,18 +137,6 @@ class RunConfig:
     def parallelism(self):
         return self._model("parallelism")
 
-    def schedule(self, cost_table=None):
-        sched = Schedule.from_cost_table(
-            cost_table or self.cost_table(),
-            crosslane_extra_cycles_per_byte=self.entries[
-                "schedule.crosslane_extra_cycles_per_byte"
-            ],
-        )
-        declared = self.entries["schedule.total_cycles_per_block"]
-        if declared:
-            return Schedule(sched.stages, declared_total=declared)
-        return sched
-
     def metrics_input(self):
         """The AES-IMC row's metric inputs: this config's clocks and
         published figures, at the latency of its schedule."""
@@ -159,7 +146,9 @@ class RunConfig:
         e = self.entries
         return MetricsInput(
             f_max_hz=e["freq.f_max_hz"],
-            latency_cycles=self.schedule().total_cycles_per_block,
+            latency_cycles=Schedule.from_cost_table(
+                self.cost_table(), e["schedule.crosslane_extra_cycles_per_byte"]
+            ).total_cycles_per_block,
             slices=e["metrics.slices"],
             power_W=e["metrics.power_w"],
             ciphers=e["metrics.ciphers"],
@@ -170,11 +159,11 @@ class RunConfig:
         )
 
     def pipeline_kwargs(self, trace_detail=False):
-        cost = self.cost_table()
         ii = self.entries["pipeline.initiation_interval"]
         return {
-            "cost_table": cost,
-            "schedule": self.schedule(cost),
+            "cost_table": self.cost_table(),
+            "crosslane_extra_cycles_per_byte": self.entries[
+                "schedule.crosslane_extra_cycles_per_byte"],
             "layout": self.layout(),
             "parallelism": self.parallelism(),
             "rows": self.entries["geometry.rows"],

@@ -8,6 +8,7 @@ formulas cannot reproduce.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -17,6 +18,9 @@ F_RF_HZ = 13.56e6
 F_UNIFORM_HZ = 30e6
 BLOCK_SIZE_BITS = 128
 BYTES_PER_CIPHER = 16
+
+_TEXT_COLUMNS = ("table", "work_label", "device", "P_unit")
+_WATTS_PER_UNIT = {"mW": 1e-3, "W": 1.0}
 
 
 class MetricsError(Exception):
@@ -152,7 +156,8 @@ class BaselineRow:
 
 
 def load_baselines(path=None):
-    """Read the baseline CSV (bundled dataset unless a path is given)."""
+    """Read the baseline CSV (bundled dataset unless a path is given). A
+    malformed row raises MetricsError naming its line."""
     if path is None:
         ref = resources.files("aesimc.data") / "baselines.csv"
         text = ref.read_text()
@@ -172,16 +177,28 @@ def load_baselines(path=None):
     if set(reader.fieldnames) != expected:
         raise MetricsError("malformed baseline dataset header")
     for rec in reader:
+        where = "%s:%d" % (path or "baselines.csv", reader.line_num)
+        if None in rec:
+            raise MetricsError("%s: more cells than header columns" % where)
         fields = {}
         for col, raw in rec.items():
-            if col in ("table", "work_label", "device", "P_unit"):
+            if col in _TEXT_COLUMNS or raw is None or raw.strip() == "":
                 continue
-            if raw is not None and raw.strip() != "":
-                fields[col] = float(raw)
-        if rec.get("P_unit"):
-            fields["P_W"] = fields["P_value"] * (
-                1e-3 if rec["P_unit"] == "mW" else 1.0
-            )
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise MetricsError("%s: %s is not a finite number: %r"
+                                   % (where, col, raw))
+            fields[col] = value
+        unit = rec.get("P_unit")
+        if unit:
+            if unit not in _WATTS_PER_UNIT:
+                raise MetricsError("%s: P_unit must be mW or W, not %r" % (where, unit))
+            if "P_value" not in fields:
+                raise MetricsError("%s: P_unit without P_value" % where)
+            fields["P_W"] = fields["P_value"] * _WATTS_PER_UNIT[unit]
         rows.append(
             BaselineRow(
                 table=rec["table"],
@@ -201,7 +218,7 @@ def _published_tolerance(published, base_rel):
         return base_rel
     decimals = len(text.split(".")[1]) if "." in text else 0
     ulp = 10.0 ** -decimals
-    return max(base_rel, ulp / abs(published)) if published else base_rel
+    return max(base_rel, ulp / abs(published))
 
 
 @dataclass(frozen=True)
@@ -219,10 +236,13 @@ class AuditEntry:
 def audit_baselines(rows, f_rf_hz=F_RF_HZ, f_uniform_hz=F_UNIFORM_HZ):
     """Recompute every derivable published column and compare against
     the printed value. Entries outside tolerance are flagged (ok=False),
-    never silently accepted."""
+    never silently accepted; a published value of 0 has no relative error
+    and is rejected."""
     entries = []
 
     def check(row, column, published, derived, base_rel=0.01):
+        if published == 0:
+            raise MetricsError("%s: published %s is 0" % (row.key, column))
         tol = _published_tolerance(published, base_rel)
         rel = abs(derived - published) / abs(published)
         entries.append(

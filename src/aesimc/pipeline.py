@@ -1,7 +1,8 @@
 """Round scheduling and cycle/energy accounting across the two lanes and
 across banks. The default calibrated preset ("ref26") totals 26 cycles per
 128-bit block: load, initial AddRoundKey, nine 2-cycle rounds, a 2-cycle
-final round without MixColumns, and a 4-cycle drain/readout.
+final round without MixColumns, and a 4-cycle drain/readout. The stages
+and their critical paths are those of aesimc.program.STAGES.
 
 A Pipeline runs its configuration's compiled program (see
 aesimc.program) on the whole batch at once; counts, energy and trace
@@ -11,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gfref
 from .crossbar import ConfigError, CostTable, TraceRecorder
-from .program import TraceEvents, compile_program
+from .program import STAGES, TraceEvents, compile_program
 from .sequencer import LaneLayout, ParallelismConfig
 
 
@@ -44,48 +44,34 @@ class ScheduleStage:
 
 
 class Schedule:
-    """Ordered stage budgets along one block's critical path."""
+    """Ordered stage budgets along one block's critical path, and the
+    start cycle of each stage by name."""
 
-    def __init__(self, stages, declared_total=None):
-        for st in stages:
+    def __init__(self, stages):
+        self.stages = list(stages)
+        self.starts = {}
+        total = 0
+        for st in self.stages:
             if st.cycles < 0:
                 raise ConfigError("negative stage budget: %s" % st.name)
-        self.stages = list(stages)
-        total = sum(st.cycles for st in stages)
+            self.starts[st.name] = total
+            total += st.cycles
         if total < 1:
             raise ConfigError("schedule must take at least one cycle")
-        if declared_total is not None and declared_total != total:
-            raise ConfigError(
-                "declared total %d != stage sum %d" % (declared_total, total)
-            )
         self.total_cycles_per_block = total
 
     @classmethod
     def from_cost_table(cls, cost, crosslane_extra_cycles_per_byte=0):
         """Reference 26-cycle decomposition. With unit latencies: 1 load +
         1 initial ARK + 9 x 2-cycle rounds + 2-cycle final round + 4
-        drain = 26. Budgets scale with the cost-table latencies.
-
-        ShiftRows moves 8 bytes per block between lanes (enumerating the
-        rotation destinations for rows 1-3 under the column-pair split);
-        any configured per-byte port penalty lands on the round stages."""
-        xlane = crosslane_extra_cycles_per_byte * 8
-        stages = [ScheduleStage("load", cost["ROW_WRITE"].cycles)]
-        stages.append(ScheduleStage("initial_ark", cost["SA_XOR"].cycles))
-        for rnd in range(1, gfref.N_ROUNDS):
-            stages.append(
-                ScheduleStage(
-                    "round_%d" % rnd,
-                    cost["SBOX_EVAL"].cycles + cost["M2_EVAL"].cycles + xlane,
-                )
-            )
-        stages.append(
-            ScheduleStage(
-                "round_10", cost["SBOX_EVAL"].cycles + cost["SA_XOR"].cycles + xlane
-            )
-        )
-        stages.append(ScheduleStage("drain", 4 * cost["BUFFER_WRITEBACK"].cycles))
-        return cls(stages)
+        drain = 26. Each stage's budget is the sum of the cost-table
+        latencies of its critical path, plus the per-byte port penalty
+        for each byte it moves between lanes."""
+        return cls([
+            ScheduleStage(st.name, sum(cost[kind].cycles for kind in st.critical_path)
+                          + crosslane_extra_cycles_per_byte * st.crosslane_bytes)
+            for st in STAGES
+        ])
 
 
 @dataclass
@@ -113,12 +99,13 @@ class Pipeline:
     depends on the cost table, schedule, or parallelism knobs; those
     affect only the reported cycles and energy."""
 
-    def __init__(self, cost_table=None, schedule=None, layout=None,
-                 parallelism=None, rows=16, cols=16, bank=0,
+    def __init__(self, cost_table=None, crosslane_extra_cycles_per_byte=0,
+                 layout=None, parallelism=None, rows=16, cols=16, bank=0,
                  initiation_interval=None, trace_detail=False,
                  config_hash=""):
         self.cost_table = cost_table or CostTable.default()
-        self.schedule = schedule or Schedule.from_cost_table(self.cost_table)
+        self.schedule = Schedule.from_cost_table(
+            self.cost_table, crosslane_extra_cycles_per_byte)
         self.layout = layout or LaneLayout()
         self.parallelism = parallelism or ParallelismConfig()
         self.rows = rows
@@ -138,33 +125,20 @@ class Pipeline:
         Pipeline of the same layout, parallelism and geometry."""
         return compile_program(self.layout, self.parallelism, self.rows, self.cols)
 
-    def _stage_starts(self, program):
-        """Start cycle of each schedule stage, by name; every stage the
-        program runs in must be in the schedule."""
-        starts = {}
-        cursor = 0
-        for st in self.schedule.stages:
-            starts[st.name] = cursor
-            cursor += st.cycles
-        missing = [name for name in program.stages if name not in starts]
-        if missing:
-            raise ConfigError("schedule has no stage %s" % ", ".join(missing))
-        return starts
-
     def run_batch(self, plaintexts, keys):
         """Encrypt a batch of independent blocks through one identical
         micro-op sequence. Returns (ciphertexts, cycles_per_block,
         energy_per_block_pJ)."""
         plaintexts, keys = _block_pairs(plaintexts, keys)
         program = self.program()
-        starts = self._stage_starts(program)
         cts = program.run(plaintexts, keys)
         trace = self.trace
         trace.reset()
         trace.counts.update(program.counts)
         trace.energy_pJ = program.energy_pJ(self.cost_table)
         if trace.detail:
-            trace.events = TraceEvents(program, self.cost_table, starts, self.bank)
+            trace.events = TraceEvents(program, self.cost_table,
+                                       self.schedule.starts, self.bank)
         return cts, self.schedule.total_cycles_per_block, trace.energy_pJ
 
     def run_block(self, plaintext, key):
@@ -182,19 +156,6 @@ class Pipeline:
         return (
             self.schedule.total_cycles_per_block
             + (n_blocks - 1) * self.initiation_interval
-        )
-
-    def run_stream(self, plaintexts, keys):
-        """Encrypt a sequence of blocks and aggregate cycles/energy."""
-        cts, _, energy_per_block = self.run_batch(plaintexts, keys)
-        n = len(cts)
-        return cts, AggregateReport(
-            blocks=n,
-            cycles_total=self.stream_cycles(n),
-            energy_pJ_total=energy_per_block * n,
-            cycles_per_block=self.schedule.total_cycles_per_block,
-            energy_per_block_pJ=energy_per_block,
-            config_hash=self.config_hash,
         )
 
 

@@ -1,12 +1,14 @@
 """The AES round sequence as one compiled micro-op program per
 configuration, and the interpreter that runs it.
 
-Control flow never depends on the data, so compile_program builds the
-whole sequence once per (layout, parallelism, rows, cols) and caches it.
-Each phase of the program holds its instructions, each of which runs one
-row operation on both lanes of a (batch, lane, row, col) cell tensor,
-and, in trace order, the crossbar micro-ops those instructions stand
-for. Costs are a fold over the micro-ops and never touch the data.
+STAGES defines the round sequence once: compile_program lays the program
+out from it and Schedule.from_cost_table budgets its stages. Control flow
+never depends on the data, so compile_program builds the whole sequence
+once per (layout, parallelism, rows, cols) and caches it. Each phase of
+the program holds its instructions, each of which runs one row operation
+on both lanes of a (batch, lane, row, nibble) cell tensor, and, in trace
+order, the crossbar micro-ops those instructions stand for. Costs are a
+fold over the micro-ops and never touch the data.
 """
 
 from collections import namedtuple
@@ -26,7 +28,40 @@ RCON = (None, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 # The four nibble cells of a lane row: two bytes, high nibble first.
 CELL_COLS = (0, 1, 2, 3)
-_NIBBLES = slice(0, 4)
+
+# ShiftRows: state column c of row r takes the byte of column
+# (c + r) % 4. Lane L owns columns 2L and 2L + 1, so the bytes whose
+# source is in the other lane cross the lane port.
+SHIFT_SOURCES = tuple(tuple((c + r) % 4 for c in range(4)) for r in range(4))
+CROSSLANE_BYTES = sum(src // 2 != c // 2
+                      for row in SHIFT_SOURCES for c, src in enumerate(row))
+
+
+class Stage(namedtuple("Stage", "name rnd phases critical_path crosslane_bytes")):
+    """One schedule stage of the round sequence: its round, the program
+    phases it runs in order, the micro-op kinds on its critical path in
+    the calibrated preset (their latencies sum to its budget) and the
+    bytes it moves between lanes."""
+
+    __slots__ = ()
+
+
+def _round_stage(rnd):
+    # MixColumns is skipped in the last round; an SA XOR takes the M-2
+    # evaluation's place on its critical path.
+    last = rnd == gfref.N_ROUNDS
+    mix = () if last else ("mix_columns",)
+    return Stage("round_%d" % rnd, rnd,
+                 ("sub_bytes", "shift_rows") + mix + ("key_update", "add_round_key"),
+                 ("SBOX_EVAL", "SA_XOR" if last else "M2_EVAL"), CROSSLANE_BYTES)
+
+
+STAGES = (
+    Stage("load", 0, ("load",), ("ROW_WRITE",), 0),
+    Stage("initial_ark", 0, ("add_round_key",), ("SA_XOR",), 0),
+    *(_round_stage(rnd) for rnd in range(1, gfref.N_ROUNDS + 1)),
+    Stage("drain", gfref.N_ROUNDS, ("readout",), ("BUFFER_WRITEBACK",) * 4, 0),
+)
 
 
 class SequencerError(CrossbarError):
@@ -106,57 +141,52 @@ def _join(nibbles):
 
 def _load(m, data, key):
     pts, keys = m.inputs
-    m.cells[:, :, data, _NIBBLES] = _split(_lane_bytes(pts))
-    m.cells[:, :, key, _NIBBLES] = _split(_lane_bytes(keys))
+    m.cells[:, :, data] = _split(_lane_bytes(pts))
+    m.cells[:, :, key] = _split(_lane_bytes(keys))
     m.keygen = KeyGenState(keys)
 
 
 def _xor_rows(m, dst, a, b):
-    cells = m.cells
-    cells[:, :, dst, _NIBBLES] = (cells[:, :, a, _NIBBLES]
-                                  ^ cells[:, :, b, _NIBBLES])
+    m.cells[:, :, dst] = m.cells[:, :, a] ^ m.cells[:, :, b]
 
 
 def _sbox_row(m, r, row):
-    m.sub[r] = SBOX_ARR[_join(m.cells[:, :, row, _NIBBLES])]
+    m.sub[r] = SBOX_ARR[_join(m.cells[:, :, row])]
 
 
 def _shift_row(m, r, row, perm):
     # the S-box outputs of row r, by state column, rotated by perm
     rotated = m.sub.pop(r).reshape(-1, 4)[:, perm]
-    m.cells[:, :, row, _NIBBLES] = _split(rotated).reshape(-1, 2, 4)
+    m.cells[:, :, row] = _split(rotated).reshape(-1, 2, 4)
 
 
 def _m2_row(m, row, dst):
-    doubled = M2_ARR[_join(m.cells[:, :, row, _NIBBLES])]
-    m.cells[:, :, dst, _NIBBLES] = _split(doubled)
+    doubled = M2_ARR[_join(m.cells[:, :, row])]
+    m.cells[:, :, dst] = _split(doubled)
 
 
 def _mix_row(m, row, t, m2, m2_next):
     cells = m.cells
-    cells[:, :, row, _NIBBLES] ^= (
-        cells[:, :, t, _NIBBLES]
-        ^ cells[:, :, m2, _NIBBLES]
-        ^ cells[:, :, m2_next, _NIBBLES]
-    )
+    cells[:, :, row] ^= cells[:, :, t] ^ cells[:, :, m2] ^ cells[:, :, m2_next]
 
 
 def _key_update(m, key, rnd):
     round_key = m.keygen.next_round(rnd)
-    m.cells[:, :, key, _NIBBLES] = _split(_lane_bytes(round_key))
+    m.cells[:, :, key] = _split(_lane_bytes(round_key))
 
 
 def _readout(m, data):
-    m.output = _blocks(_join(m.cells[:, :, data, _NIBBLES]))
+    m.output = _blocks(_join(m.cells[:, :, data]))
 
 
 class Machine:
     """Execution state of one lane pair for a batch of blocks: the
-    (batch, lane, row, col) cell tensor, the S-box outputs held per row
-    between SubBytes and ShiftRows, and the shared key generator."""
+    (batch, lane, row, nibble) cell tensor, holding the four nibble cells
+    of each lane row, the S-box outputs held per row between SubBytes and
+    ShiftRows, and the shared key generator."""
 
-    def __init__(self, batch, rows, cols):
-        self.cells = np.zeros((batch, 2, rows, cols), dtype=np.uint8)
+    def __init__(self, batch, rows):
+        self.cells = np.zeros((batch, 2, rows, len(CELL_COLS)), dtype=np.uint8)
         self.inputs = None  # (plaintexts, keys) for the load instruction
         self.output = None  # ciphertexts from the readout instruction
         self.sub = {}
@@ -168,7 +198,7 @@ class Machine:
 
     def state(self, rows):
         """The 4x4 state held in rows, decoded at no cost (for checks)."""
-        lane_bytes = _join(self.cells[:, :, list(rows), _NIBBLES])
+        lane_bytes = _join(self.cells[:, :, list(rows)])
         return lane_bytes.transpose(0, 2, 1, 3).reshape(-1, 4, 4)
 
 
@@ -198,16 +228,13 @@ def _phase(name, instrs, crosslane_bytes=0):
 
 class Program:
     """The whole-block micro-op program of one configuration: its phases
-    in order, the schedule stages they run in, their instructions
-    flattened for a run, and the per-kind micro-op counts of one block.
-    Built and validated by compile_program, then shared and never
-    modified."""
+    in order, their instructions flattened for a run, and the per-kind
+    micro-op counts of one block. Built and validated by compile_program,
+    then shared and never modified."""
 
-    def __init__(self, rows, cols, phases):
+    def __init__(self, rows, phases):
         self.rows = rows
-        self.cols = cols
         self.phases = tuple(phases)
-        self.stages = tuple(dict.fromkeys(ph.stage for ph in self.phases))
         self.instrs = tuple(i for ph in self.phases for i in ph.instrs)
         counts = dict.fromkeys(MICRO_OP_KINDS, 0)
         for ph in self.phases:
@@ -225,7 +252,7 @@ class Program:
 
     def run(self, plaintexts, keys):
         """Encrypt (batch, 16) uint8 blocks; returns the ciphertexts."""
-        m = Machine(len(plaintexts), self.rows, self.cols)
+        m = Machine(len(plaintexts), self.rows)
         m.inputs = (plaintexts, keys)
         m.execute(self.instrs)
         return m.output
@@ -319,19 +346,16 @@ def compile_program(layout, parallelism, rows, cols):
         Instr(_sbox_row, (r, D[r]), tuple(
             _read(D[r]) + [("SBOX_EVAL", D[r], CELL_COLS, sbox_batches)]))
         for r in range(4)])
-    # ShiftRows: state column c of row r takes the S-box output of column
-    # (c + r) % 4, which sits at slot (c + r) % 2 of its lane's row. The
-    # bytes whose source is in the other lane cross the lane port.
+    # ShiftRows: the S-box output of source column s sits at slot s % 2
+    # of its lane's row.
     shift = []
-    for r in range(4):
-        src = [(c + r) % 4 for c in range(4)]
+    for r, src in enumerate(SHIFT_SOURCES):
         nibbles = [2 * (s % 2) + h for s in src[:2] for h in (0, 1)]
         perm = np.array(src)
         perm.flags.writeable = False
         shift.append(Instr(_shift_row, (r, D[r], perm),
                            tuple(_stage(D[r], nibbles))))
-    shift = _phase("shift_rows", shift, sum(
-        (c + r) % 4 // 2 != c // 2 for r in range(4) for c in range(4)))
+    shift = _phase("shift_rows", shift, CROSSLANE_BYTES)
     # MixColumns: (a) M-2 of every data byte into the buffer rows, (b) the
     # shared term T = s0^s1^s2^s3 by pairwise XORs through scratch rows,
     # (c) per row: T, XOR in 2*S_i, 2*S_{i+1} and S_i, over the data row.
@@ -350,17 +374,16 @@ def compile_program(layout, parallelism, rows, cols):
     key_update = _phase("key_update", [Instr(_key_update, (key, 0), key_writes)])
     readout = _phase("readout", [Instr(_readout, (data,), tuple(
         _read(row)[0] for row in D))])
+    built = {ph.name: ph for ph in (load, ark, sub, shift, mix, key_update, readout)}
 
-    # The round sequence, each phase stamped with the name of its schedule
-    # stage; MixColumns is skipped in the last round.
-    phases = [load._replace(stage="load"), ark._replace(stage="initial_ark")]
-    for rnd in range(1, gfref.N_ROUNDS + 1):
-        at = {"rnd": rnd, "stage": "round_%d" % rnd}
-        phases += [sub._replace(**at), shift._replace(**at)]
-        if rnd < gfref.N_ROUNDS:
-            phases.append(mix._replace(**at))
-        phases.append(key_update._replace(
-            instrs=(Instr(_key_update, (key, rnd), key_writes),), **at))
-        phases.append(ark._replace(**at))
-    phases.append(readout._replace(rnd=gfref.N_ROUNDS, stage="drain"))
-    return Program(rows, cols, phases)
+    # The round sequence, each phase stamped with its stage and round; a
+    # key update writes the round key of its own round.
+    phases = []
+    for st in STAGES:
+        for name in st.phases:
+            ph = built[name]._replace(rnd=st.rnd, stage=st.name)
+            if name == "key_update":
+                ph = ph._replace(
+                    instrs=(Instr(_key_update, (key, st.rnd), key_writes),))
+            phases.append(ph)
+    return Program(rows, phases)

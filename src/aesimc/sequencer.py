@@ -96,7 +96,7 @@ class LanePairSequencer:
         self.bank = bank
         self.batch = batch
         self.program = compile_program(self.layout, self.parallelism, rows, cols)
-        self.machine = Machine(batch, rows, cols)
+        self.machine = Machine(batch, rows)
         self.busy = False
         self.crosslane_bytes = 0
 

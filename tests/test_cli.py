@@ -172,6 +172,39 @@ def test_metrics_malformed_dataset_exits_3(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+BASELINE_HEADER = (
+    "table,work_label,device,state_bits,key_bits,ff,lut,slc,fmax_MHz,L,"
+    "thr_Mbps,thr_per_slc,thr_star_Mbps,P_value,P_unit,E_uJ,E_per_bit_nJ,"
+    "area_um2,ciphers,dpr_GBps"
+)
+# a published Table I row, and the cells each malformed case changes
+BASELINE_ROW = dict(zip(BASELINE_HEADER.split(","), (
+    "I,[47],XC6SLX16-3CSG324,64,128,200,202,58,160.21,55,186.42,3.214,15.78,"
+    ",,,,,,").split(",")))
+MALFORMED_ROWS = {
+    "non-numeric": ({"state_bits": "abc"}, "", ":2: state_bits is not a finite number"),
+    "non-finite": ({"fmax_MHz": "inf"}, "", ":2: fmax_MHz is not a finite number"),
+    "unit-without-value": ({"table": "II", "P_unit": "mW", "E_uJ": "1.5"}, "",
+                           ":2: P_unit without P_value"),
+    "unknown-unit": ({"table": "II", "P_value": "98", "P_unit": "kW",
+                      "E_uJ": "1.5"}, "", ":2: P_unit must be mW or W"),
+    "extra-columns": ({}, ",7", ":2: more cells than header columns"),
+    "zero-published": ({"thr_Mbps": "0"}, "", "I/[47]/XC6SLX16-3CSG324: "
+                       "published thr_Mbps is 0"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ROWS)
+def test_metrics_malformed_baseline_row_exits_3(tmp_path, capsys, case):
+    cells, tail, message = MALFORMED_ROWS[case]
+    row = ",".join({**BASELINE_ROW, **cells}.values()) + tail
+    bad = write(tmp_path / "bad.csv", BASELINE_HEADER + "\n" + row + "\n")
+    assert cli.main(["metrics", "--baselines", bad]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("dataset/config error:")
+    assert message in err
+
+
 # -- config handling ------------------------------------------------------
 
 
@@ -232,6 +265,26 @@ def test_sweep_rows_carry_their_point_config_hash(tmp_path):
             "banks": int(row["banks"]),
         })
         assert row["config_hash"] == point.config_hash()
+
+
+def test_sweep_figures_are_those_of_a_simulated_block(tmp_path):
+    cfg = write(tmp_path / "run.cfg", "cost.sbox_eval.cycles=3\n"
+                "schedule.crosslane_extra_cycles_per_byte=2\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    import csv
+
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 16
+    config = RunConfig.load(cfg)
+    for row in rows:
+        point = RunConfig({**config.entries,
+                           "parallelism.sbox_units": int(row["sbox_units"]),
+                           "parallelism.m2_units": int(row["m2_units"])})
+        _, cycles, energy = point.pipeline().run_block(
+            bytes.fromhex(PT_HEX), bytes.fromhex(KEY_HEX))
+        assert int(row["cycles_per_block"]) == cycles == 206
+        assert row["energy_per_block_pJ"] == "%.6f" % energy
 
 
 @pytest.mark.parametrize("bad", ["0:2", "3:1", "x", "", "2,1"])
@@ -326,7 +379,9 @@ config_lines = st.one_of(
     st.tuples(st.sampled_from(CONFIG_KEYS), config_values).map(
         lambda kv: ("%s=%s" % kv).encode()),
     st.sampled_from(["warp.factor=9", "seed=1", "schedule.preset=ref26",
-                     "layout.bytes_per_row=2", "banks"]).map(str.encode),
+                     "layout.bytes_per_row=2",
+                     "schedule.total_cycles_per_block=26",
+                     "banks"]).map(str.encode),
     st.binary(max_size=6),
 )
 ZERO_CYCLES = b"".join(b"cost.%s.cycles=0\n" % kind for kind in (

@@ -2,6 +2,7 @@
 
 import pytest
 
+from aesimc import cli
 from aesimc.config import RunConfig
 from aesimc.crossbar import ConfigError
 from aesimc.pipeline import BankFarm, Pipeline
@@ -63,14 +64,16 @@ def test_hash_changes_when_a_knob_changes():
     assert RunConfig().config_hash() != RunConfig({"banks": 2}).config_hash()
 
 
-def test_declared_total_checked_against_stage_sum(tmp_path):
-    ok = tmp_path / "ok.cfg"
-    ok.write_text("schedule.total_cycles_per_block=26\n")
-    assert RunConfig.load(str(ok)).schedule().total_cycles_per_block == 26
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("schedule.total_cycles_per_block=25\n")
-    with pytest.raises(ConfigError):
-        RunConfig.load(str(bad)).schedule()
+def test_declared_total_checked_against_stage_sum(tmp_path, capsys):
+    # the total is always the stage sum, so declaring it is not a knob
+    for total in (26, 25):
+        path = tmp_path / "run.cfg"
+        path.write_text("schedule.total_cycles_per_block=%d\n" % total)
+        with pytest.raises(ConfigError, match="unknown config key"):
+            RunConfig.load(str(path))
+        argv = ["verify", "--blocks", "1", "--config", str(path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_unknown_schedule_preset_rejected():
@@ -87,7 +90,7 @@ def test_cost_overrides_flow_into_schedule(tmp_path):
         "cost.offset_write.cycles=2\n"
     )
     config = RunConfig.load(str(path))
-    assert config.schedule().total_cycles_per_block == 52
+    assert config.pipeline().schedule.total_cycles_per_block == 52
 
 
 def test_layout_list_values_parse(tmp_path):

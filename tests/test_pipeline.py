@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aesimc.crossbar import ConfigError, CostTable, MICRO_OP_KINDS, OpCost
-from aesimc.pipeline import AggregateReport, BankFarm, Pipeline, Schedule, ScheduleStage
+from aesimc.pipeline import BankFarm, Pipeline, Schedule
 
 
 def random_pairs(seed, n):
@@ -31,21 +31,27 @@ def test_default_schedule_totals_26_cycles():
 
 
 def test_schedule_rejects_declared_total_mismatch():
-    stages = [ScheduleStage("load", 1), ScheduleStage("drain", 4)]
-    Schedule(stages, declared_total=5)
-    with pytest.raises(ConfigError):
-        Schedule(stages, declared_total=26)
-    with pytest.raises(ConfigError):
-        Schedule([ScheduleStage("load", -1)])
+    # a schedule rejects a stage budget below zero and a total of zero
+    with pytest.raises(ConfigError, match="negative stage budget: round_1"):
+        Schedule.from_cost_table(CostTable.default(),
+                                 crosslane_extra_cycles_per_byte=-1)
+    zero = CostTable({k: OpCost(0, 1.0) for k in MICRO_OP_KINDS})
     with pytest.raises(ConfigError, match="at least one cycle"):
-        Schedule([ScheduleStage("load", 0), ScheduleStage("drain", 0)])
+        Schedule.from_cost_table(zero)
+    with pytest.raises(ConfigError, match="at least one cycle"):
+        Pipeline(cost_table=zero)
 
 
-def test_schedule_without_a_program_stage_is_rejected():
-    stages = Schedule.from_cost_table(CostTable.default()).stages[:-1]
-    pipe = Pipeline(schedule=Schedule(stages))
-    with pytest.raises(ConfigError, match="schedule has no stage drain"):
-        pipe.run_block(PT, KEY)
+def test_crosslane_penalty_lands_on_every_round():
+    # 8 bytes cross the lane port in each of the 10 rounds
+    pipe = Pipeline(crosslane_extra_cycles_per_byte=2)
+    ct, cycles, energy = pipe.run_block(PT, KEY)
+    assert ct.hex() == CT
+    assert cycles == 26 + 10 * 16 == 186
+    assert energy == Pipeline().run_block(PT, KEY)[2]
+    budgets = {st.name: st.cycles for st in pipe.schedule.stages}
+    assert budgets["round_1"] == budgets["round_10"] == 2 + 16
+    assert budgets["load"] == budgets["initial_ark"] == 1
 
 
 def test_doubled_latencies_double_the_recomputed_schedule():
@@ -94,18 +100,6 @@ def test_stream_cycles_formula():
     assert pipelined.stream_cycles(10) == 26 + 9 * 2
     with pytest.raises(ConfigError):
         pipe.stream_cycles(0)
-
-
-def test_run_stream_aggregates():
-    pts, keys = random_pairs(201, 10)
-    cts, report = Pipeline().run_stream(pts, keys)
-    assert isinstance(report, AggregateReport)
-    assert report.blocks == 10
-    assert report.cycles_total == 26 + 9 * 26
-    assert report.energy_pJ_total == pytest.approx(
-        10 * report.energy_per_block_pJ, rel=1e-12
-    )
-    assert len(cts) == 10
 
 
 def test_trace_events_sum_to_reported_energy():
