@@ -11,9 +11,9 @@ an unreadable or non-UTF-8 config file, or an unwritable output).
 import argparse
 import csv
 import hashlib
-import json
 import random
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,22 +51,22 @@ def _read_hex_blocks(path):
     return blocks, None
 
 
+# Blocks per pass of `verify`: memory stays bounded in --blocks.
+VERIFY_CHUNK = 1 << 13
+
+
+def _draw_blocks(rng, n):
+    """The next n (pt, key) pairs of rng: 32 bytes per pair, plaintext
+    first. One draw of 32*n bytes gives the same bytes as n pairs of
+    16-byte draws, so drawing in chunks does not change the blocks."""
+    pairs = np.frombuffer(rng.randbytes(32 * n), dtype=np.uint8).reshape(n, 2, 16)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def _random_blocks(seed, n):
     """Seeded (pt, key) pairs. Generator: Python's Mersenne Twister
     (random.Random) drawing 32 bytes per pair, plaintext first."""
-    rng = random.Random(seed)
-    pts = np.empty((n, 16), dtype=np.uint8)
-    keys = np.empty((n, 16), dtype=np.uint8)
-    for i in range(n):
-        pts[i] = bytearray(rng.randbytes(16))
-        keys[i] = bytearray(rng.randbytes(16))
-    return pts, keys
-
-
-def _write_trace(path, trace):
-    with open(path, "w") as fh:
-        for event in trace.events:
-            fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+    return _draw_blocks(random.Random(seed), n)
 
 
 def cmd_encrypt(args):
@@ -100,8 +100,11 @@ def cmd_encrypt(args):
             ),
             file=sys.stderr,
         )
-        if args.trace:
-            _write_trace(args.trace, farm.pipeline.trace)
+    if args.trace:
+        # an empty input leaves an empty trace, not a stale one
+        with open(args.trace, "w") as fh:
+            if blocks:
+                fh.writelines(farm.pipeline.trace.events.jsonl())
     out_text = "".join(line + "\n" for line in lines)
     if args.out:
         with open(args.out, "w") as fh:
@@ -116,23 +119,27 @@ def cmd_verify(args):
         print("config error: --blocks must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     farm = RunConfig.load(args.config).bank_farm(banks=args.banks)
-    pts, keys = _random_blocks(args.seed, args.blocks)
-    cts, report = farm.run_banked(pts, keys)
-    for i in range(args.blocks):
-        expected = gfref.encrypt_block(bytes(pts[i]), bytes(keys[i]))
-        if bytes(cts[i]) != expected:
-            print(
-                "mismatch at block %d: pt=%s key=%s imc=%s golden=%s"
-                % (
-                    i,
-                    bytes(pts[i]).hex(),
-                    bytes(keys[i]).hex(),
-                    bytes(cts[i]).hex(),
-                    expected.hex(),
+    rng = random.Random(args.seed)
+    digest = hashlib.sha256()
+    for start in range(0, args.blocks, VERIFY_CHUNK):
+        pts, keys = _draw_blocks(rng, min(VERIFY_CHUNK, args.blocks - start))
+        cts, _ = farm.run_banked(pts, keys)
+        for i in range(len(cts)):
+            expected = gfref.encrypt_block(bytes(pts[i]), bytes(keys[i]))
+            if bytes(cts[i]) != expected:
+                print(
+                    "mismatch at block %d: pt=%s key=%s imc=%s golden=%s"
+                    % (
+                        start + i,
+                        bytes(pts[i]).hex(),
+                        bytes(keys[i]).hex(),
+                        bytes(cts[i]).hex(),
+                        expected.hex(),
+                    )
                 )
-            )
-            return EXIT_MISMATCH
-    digest = hashlib.sha256(cts.tobytes()).hexdigest()
+                return EXIT_MISMATCH
+        digest.update(cts.tobytes())
+    report = farm.report(args.blocks)
     print(
         "verified blocks=%d seed=%d banks=%d cycles_total=%d "
         "energy_pJ_total=%.6f config=%s result_sha256=%s"
@@ -143,7 +150,7 @@ def cmd_verify(args):
             report.cycles_total,
             report.energy_pJ_total,
             report.config_hash,
-            digest,
+            digest.hexdigest(),
         )
     )
     return EXIT_OK
@@ -266,6 +273,7 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="aesimc",

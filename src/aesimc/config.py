@@ -8,7 +8,7 @@ import math
 from dataclasses import fields
 
 from .crossbar import ConfigError, CostTable, MICRO_OP_KINDS, OpCost
-from .pipeline import BankFarm, Pipeline, Schedule
+from .pipeline import BankFarm, Pipeline
 from .sequencer import LaneLayout, ParallelismConfig
 
 # Config sections whose keys are the fields of a model class, with the
@@ -139,16 +139,18 @@ class RunConfig:
 
     def metrics_input(self):
         """The AES-IMC row's metric inputs: this config's clocks and
-        published figures, at the latency of its schedule."""
+        published figures, at the latency of its schedule. The whole model
+        is built and its program compiled, so a config that no pipeline
+        accepts is rejected here too."""
         # imported here so that building a pipeline does not load metrics
         from .metrics import MetricsInput
 
+        pipe = self.pipeline()
+        pipe.program()
         e = self.entries
         return MetricsInput(
             f_max_hz=e["freq.f_max_hz"],
-            latency_cycles=Schedule.from_cost_table(
-                self.cost_table(), e["schedule.crosslane_extra_cycles_per_byte"]
-            ).total_cycles_per_block,
+            latency_cycles=pipe.schedule.total_cycles_per_block,
             slices=e["metrics.slices"],
             power_W=e["metrics.power_w"],
             ciphers=e["metrics.ciphers"],

@@ -74,14 +74,6 @@ class CostTable:
     def __getitem__(self, kind):
         return self.entries[kind]
 
-    def scaled_latency(self, factor):
-        return CostTable(
-            {
-                k: OpCost(c.cycles * factor, c.energy_pJ)
-                for k, c in self.entries.items()
-            }
-        )
-
     @classmethod
     def default(cls):
         # Calibrated preset: unit latencies make the default

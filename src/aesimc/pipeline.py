@@ -173,18 +173,23 @@ class BankFarm:
         self.pipeline = Pipeline(**pipeline_kwargs)
 
     def run_banked(self, plaintexts, keys):
+        cts, _, _ = self.pipeline.run_batch(plaintexts, keys)
+        return cts, self.report(len(cts))
+
+    def report(self, n):
+        """The farm's figures for n blocks dealt round-robin to its banks;
+        they depend on the count alone, not on the data."""
         pipe = self.pipeline
-        cts, per_block, energy_per_block = pipe.run_batch(plaintexts, keys)
-        n = len(cts)
+        energy_per_block = pipe.program().energy_pJ(pipe.cost_table)
         # summed bank by bank, as the banks would report their shares
         energy_total = 0.0
         for b in range(min(self.banks, n)):
             energy_total += energy_per_block * len(range(b, n, self.banks))
-        return cts, AggregateReport(
+        return AggregateReport(
             blocks=n,
             cycles_total=pipe.stream_cycles(-(-n // self.banks)),
             energy_pJ_total=energy_total,
-            cycles_per_block=per_block,
+            cycles_per_block=pipe.schedule.total_cycles_per_block,
             energy_per_block_pJ=energy_total / n,
             config_hash=pipe.config_hash,
         )

@@ -11,6 +11,7 @@ order, the crossbar micro-ops those instructions stand for. Costs are a
 fold over the micro-ops and never touch the data.
 """
 
+import json
 from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
@@ -292,6 +293,34 @@ class TraceEvents:
             for lane, kind, row, col_mask, count in ph.ops:
                 yield MicroOpEvent(cycle, self.bank, lane, kind, row, col_mask,
                                    energy[kind] * count)
+
+    def jsonl(self):
+        """The trace as JSON lines, one text chunk per phase: each event's
+        line is json.dumps(event.to_dict(), sort_keys=True). Each distinct
+        ops tuple (rounds 1-9 share theirs) is formatted once per call
+        into a template whose only slot is its stage's start cycle."""
+        dumps = json.dumps
+        head = '{"bank": %s, "col_mask": ' % dumps(self.bank)
+        masks, kinds, templates = {}, {}, {}
+        for ph in self.program.phases:
+            pieces = templates.get(ph.ops)
+            if pieces is None:
+                # the lines of ph.ops, split where their cycles go
+                pieces, tail = [], ""
+                for lane, kind, row, col_mask, count in ph.ops:
+                    mask = masks.get(col_mask)
+                    if mask is None:
+                        mask = masks[col_mask] = dumps(list(col_mask))
+                    op = kinds.get((kind, count))
+                    if op is None:
+                        op = kinds[kind, count] = (
+                            dumps(self.energy[kind] * count), dumps(kind))
+                    pieces.append(tail + head + mask + ', "cycle": ')
+                    tail = ', "energy_pJ": %s, "lane": %d, "op": %s, "row": %d}\n' % (
+                        op[0], lane, op[1], row)
+                pieces.append(tail)
+                templates[ph.ops] = pieces
+            yield dumps(self.stage_starts[ph.stage]).join(pieces)
 
 
 def _row_index(rows):

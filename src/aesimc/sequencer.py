@@ -135,9 +135,6 @@ class LanePairSequencer:
         """Zero-cost decoded 4x4 state (verification only)."""
         return self.machine.state(self.layout.data_rows)
 
-    def peek_key_state(self):
-        return self.machine.state(self.layout.key_rows)
-
     # -- AES phases -----------------------------------------------------
 
     def seq_add_round_key(self):
@@ -160,9 +157,3 @@ class LanePairSequencer:
         if self.machine.keygen is None:
             raise SequencerError("no key loaded")
         self._step("key_update", rnd)
-
-    def encrypt_loaded(self):
-        """Run every phase between load and readout: the initial
-        AddRoundKey plus the 10 rounds."""
-        for phase in self.program.phases[1:-1]:
-            self._run(phase)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,10 @@ def test_encrypt_empty_input_gives_empty_output(tmp_path):
     out = tmp_path / "cts.txt"
     assert cli.main(["encrypt", pts, key, "--out", str(out)]) == 0
     assert out.read_text() == ""
+    # a trace left by an earlier run does not survive
+    tr = write(tmp_path / "trace.jsonl", "stale\n")
+    assert cli.main(["encrypt", pts, key, "--out", str(out), "--trace", tr]) == 0
+    assert (tmp_path / "trace.jsonl").read_text() == ""
 
 
 def test_encrypt_requires_exactly_one_key(tmp_path):
@@ -138,6 +143,30 @@ def test_verify_rejects_nonpositive_blocks(capsys):
     assert cli.main(["verify", "--blocks", "0"]) == cli.EXIT_CONFIG
 
 
+# (blocks, banks) -> (cycles_total, energy_pJ_total, result_sha256) of
+# `verify --seed 0`; the larger counts span several chunks of blocks
+VERIFY_PINS = {
+    (1, 1): ("26", "187905.604720",
+             "5796eda4de07d4143139e23e54976b1436a98c280d398eb126ef62d71692ef94"),
+    (1000, 4): ("6500", "187905604.719764",
+                "a5f0de16e9bf26cc79b5b95babd1434207f21f2bd5cbc0325175def04a9f1bb5"),
+    (8193, 3): ("71006", "1539510619.469026",
+                "3e66ccf124732e8173fb7b609717c38e2e53f97c04b293d32c2fdb36a7e4a7e5"),
+    (20000, 7): ("74308", "3758112094.395280",
+                 "216f32aa8d46fcda38cbecda86f1e7432cdb1860709df23fefe8bc7725da365d"),
+}
+
+
+@pytest.mark.parametrize("blocks, banks", VERIFY_PINS)
+def test_verify_figures_are_pinned(blocks, banks, capsys):
+    assert cli.main(["verify", "--blocks", str(blocks), "--seed", "0",
+                     "--banks", str(banks)]) == 0
+    fields = dict(f.split("=", 1) for f in capsys.readouterr().out.split()
+                  if "=" in f)
+    assert (fields["cycles_total"], fields["energy_pJ_total"],
+            fields["result_sha256"]) == VERIFY_PINS[blocks, banks]
+
+
 def test_random_blocks_follow_seeded_generator():
     import random
 
@@ -145,6 +174,12 @@ def test_random_blocks_follow_seeded_generator():
     rng = random.Random(42)
     assert bytes(pts[0]) == rng.randbytes(16)
     assert bytes(keys[0]) == rng.randbytes(16)
+    # drawn in chunks, as `verify` draws past VERIFY_CHUNK blocks
+    rng = random.Random(42)
+    chunks = [cli._draw_blocks(rng, n) for n in (1, 3)]
+    assert all(np.array_equal(a, b) for a, b in zip(
+        cli._random_blocks(42, 4),
+        (np.concatenate(parts) for parts in zip(*chunks))))
 
 
 # -- metrics ------------------------------------------------------------
@@ -293,6 +328,21 @@ def test_sweep_rejects_invalid_ranges(bad, capsys):
 
 
 # -- robustness -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("line", [
+    "parallelism.sbox_units=0",
+    "parallelism.m2_units=-1",
+    "pipeline.initiation_interval=-2",
+    "layout.t_row=99",
+    "layout.key_rows=3,4,5,6",
+    "geometry.rows=8",
+])
+def test_metrics_rejects_what_verify_rejects(tmp_path, capsys, line):
+    cfg = write(tmp_path / "run.cfg", line + "\n")
+    assert cli.main(["verify", "--blocks", "1", "--config", cfg]) == cli.EXIT_CONFIG
+    assert cli.main(["metrics", "--config", cfg]) == cli.EXIT_CONFIG
+    assert "Thr=" not in capsys.readouterr().out
 
 
 def test_metrics_invalid_frequency_exits_3(tmp_path, capsys):

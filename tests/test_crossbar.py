@@ -48,14 +48,6 @@ def test_cost_table_rejects_negative_cost():
         CostTable(entries)
 
 
-def test_scaled_latency_scales_cycles_not_energy():
-    base = CostTable.default()
-    doubled = base.scaled_latency(2)
-    for kind in MICRO_OP_KINDS:
-        assert doubled[kind].cycles == 2 * base[kind].cycles
-        assert doubled[kind].energy_pJ == base[kind].energy_pJ
-
-
 # -- addressing and value range ----------------------------------------
 
 

@@ -54,10 +54,20 @@ def test_crosslane_penalty_lands_on_every_round():
     assert budgets["load"] == budgets["initial_ark"] == 1
 
 
+def scaled_latency(cost, factor):
+    """cost with every latency times factor and every energy kept."""
+    return CostTable({k: OpCost(c.cycles * factor, c.energy_pJ)
+                      for k, c in cost.entries.items()})
+
+
 def test_doubled_latencies_double_the_recomputed_schedule():
     base = Schedule.from_cost_table(CostTable.default())
-    doubled = Schedule.from_cost_table(CostTable.default().scaled_latency(2))
+    doubled = Schedule.from_cost_table(scaled_latency(CostTable.default(), 2))
     assert doubled.total_cycles_per_block == 2 * base.total_cycles_per_block
+    # latencies move the schedule, never the energy of the same work
+    slow = Pipeline(cost_table=scaled_latency(CostTable.default(), 2))
+    assert slow.run_block(PT, KEY) == (bytes.fromhex(CT), 52,
+                                      Pipeline().run_block(PT, KEY)[2])
 
 
 def test_run_block_reproduces_published_vector_and_latency():

@@ -3,6 +3,7 @@ per-block op counts and energy are fixed values, and ciphertexts match
 the gfref reference for every parallelism setting."""
 
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -61,6 +62,21 @@ def test_trace_jsonl_is_pinned(tmp_path, capsys):
                      str(tmp_path / "ct.txt"), "--trace", str(tr)]) == 0
     assert hashlib.sha256(tr.read_bytes()).hexdigest() == TRACE_SHA256
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sbox_units", range(1, 5))
+@pytest.mark.parametrize("m2_units", range(1, 5))
+def test_trace_jsonl_renders_each_event_as_json_dumps(sbox_units, m2_units):
+    config = RunConfig({"parallelism.sbox_units": sbox_units,
+                        "parallelism.m2_units": m2_units,
+                        "schedule.crosslane_extra_cycles_per_byte": 2,
+                        "cost.sa_xor.energy_pj": 0.0,
+                        "cost.m2_eval.energy_pj": 1e-7})
+    pipe = config.pipeline(trace_detail=True)
+    pipe.run_block(bytes(16), bytes(16))
+    events = pipe.trace.events
+    assert "".join(events.jsonl()) == "".join(
+        json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events)
 
 
 @pytest.mark.parametrize("batch", [1, 7])
