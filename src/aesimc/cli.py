@@ -244,7 +244,7 @@ def cmd_sweep(args):
                 # figures are folds over the point's program: no data
                 pipe = point.pipeline()
                 cycles = pipe.schedule.total_cycles_per_block
-                energy = pipe.program().energy_pJ(pipe.cost_table)
+                energy = pipe.trace.energy_pJ
                 wall = pipe.stream_cycles(-(-args.blocks // banks))
                 rows.append(
                     {
@@ -253,8 +253,10 @@ def cmd_sweep(args):
                         "banks": banks,
                         "cycles_per_block": cycles,
                         "energy_per_block_pJ": "%.6f" % energy,
-                        "thr_Mbps": "%.4f" % (f_max * 128 / cycles / 1e6),
-                        "energy_per_bit_nJ": "%.6f" % (energy / 128 / 1e3),
+                        "thr_Mbps": "%.4f" % (
+                            f_max * metrics.BLOCK_SIZE_BITS / cycles / 1e6),
+                        "energy_per_bit_nJ": "%.6f" % (
+                            energy / metrics.BLOCK_SIZE_BITS / 1e3),
                         "wall_cycles_for_blocks": wall,
                         "blocks": args.blocks,
                         "config_hash": point.config_hash(),

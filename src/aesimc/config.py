@@ -29,8 +29,6 @@ def _default_entries():
         "metrics.slices": 468,
         "metrics.power_w": 0.098,
         "metrics.ciphers": 24096,
-        "metrics.bytes_per_cipher": 16,
-        "metrics.block_size_bits": 128,
     }
     for section, model in _MODELS.items():
         for field in fields(model):
@@ -139,29 +137,26 @@ class RunConfig:
 
     def metrics_input(self):
         """The AES-IMC row's metric inputs: this config's clocks and
-        published figures, at the latency of its schedule. The whole model
-        is built and its program compiled, so a config that no pipeline
-        accepts is rejected here too."""
+        published figures, at the latency of its schedule. The whole
+        pipeline is built, so a config that no pipeline accepts is
+        rejected here too."""
         # imported here so that building a pipeline does not load metrics
-        from .metrics import MetricsInput
+        from . import metrics
 
-        pipe = self.pipeline()
-        pipe.program()
         e = self.entries
-        return MetricsInput(
+        return metrics.MetricsInput(
             f_max_hz=e["freq.f_max_hz"],
-            latency_cycles=pipe.schedule.total_cycles_per_block,
+            latency_cycles=self.pipeline().schedule.total_cycles_per_block,
             slices=e["metrics.slices"],
             power_W=e["metrics.power_w"],
             ciphers=e["metrics.ciphers"],
             f_rf_hz=e["freq.f_rf_hz"],
             f_uniform_hz=e["freq.f_uniform_hz"],
-            block_size_bits=e["metrics.block_size_bits"],
-            bytes_per_cipher=e["metrics.bytes_per_cipher"],
+            block_size_bits=metrics.BLOCK_SIZE_BITS,
+            bytes_per_cipher=metrics.BYTES_PER_CIPHER,
         )
 
     def pipeline_kwargs(self, trace_detail=False):
-        ii = self.entries["pipeline.initiation_interval"]
         return {
             "cost_table": self.cost_table(),
             "crosslane_extra_cycles_per_byte": self.entries[
@@ -170,7 +165,7 @@ class RunConfig:
             "parallelism": self.parallelism(),
             "rows": self.entries["geometry.rows"],
             "cols": self.entries["geometry.cols"],
-            "initiation_interval": ii if ii else None,
+            "initiation_interval": self.entries["pipeline.initiation_interval"],
             "trace_detail": trace_detail,
             "config_hash": self.config_hash(),
         }

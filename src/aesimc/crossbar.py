@@ -126,23 +126,17 @@ class TraceRecorder:
         self.events = []
         self.counts = {k: 0 for k in MICRO_OP_KINDS}
         self.energy_pJ = 0.0
-        self.cycle = 0
 
-    def emit(self, cost_table, bank, lane, op, row, col_mask, count=1):
+    def emit(self, cost_table, lane, op, row, col_mask, count=1):
         cost = cost_table[op]
         self.counts[op] += count
         energy = cost.energy_pJ * count
         self.energy_pJ += energy
         if self.detail:
+            # stepwise events carry no schedule cycle; there is one bank
             self.events.append(
-                MicroOpEvent(self.cycle, bank, lane, op, row, tuple(col_mask), energy)
+                MicroOpEvent(0, 0, lane, op, row, tuple(col_mask), energy)
             )
-
-    def reset(self):
-        self.events = []
-        self.counts = {k: 0 for k in MICRO_OP_KINDS}
-        self.energy_pJ = 0.0
-        self.cycle = 0
 
 
 class CrossbarArray:
@@ -151,7 +145,7 @@ class CrossbarArray:
     buffer. Reads are non-destructive; writes go through the row buffer
     unless addressed directly with write_cell."""
 
-    def __init__(self, rows, cols, cost_table, trace, bank=0, lane=0, batch=1):
+    def __init__(self, rows, cols, cost_table, trace, lane=0, batch=1):
         if rows < 1 or cols < 1 or batch < 1:
             raise ConfigError("geometry must be positive")
         self.rows = rows
@@ -159,7 +153,6 @@ class CrossbarArray:
         self.batch = batch
         self.cost = cost_table
         self.trace = trace
-        self.bank = bank
         self.lane = lane
         self.cells = np.zeros((batch, rows, cols), dtype=np.uint8)
         self.sa_capacitor = np.zeros((batch, cols), dtype=np.uint8)
@@ -196,7 +189,7 @@ class CrossbarArray:
         self._check_nibble(v)
         self.cells[:, row, col] = v
         if not batched:
-            self.trace.emit(self.cost, self.bank, self.lane, "ROW_WRITE", row, (col,))
+            self.trace.emit(self.cost, self.lane, "ROW_WRITE", row, (col,))
 
     def write_row(self, row, cols, values):
         """Program several cells of one row for a single ROW_WRITE cost.
@@ -209,7 +202,7 @@ class CrossbarArray:
         arr = np.asarray(values)
         self._check_nibble(arr)
         self.cells[:, row, cols] = arr
-        self.trace.emit(self.cost, self.bank, self.lane, "ROW_WRITE", row, tuple(cols))
+        self.trace.emit(self.cost, self.lane, "ROW_WRITE", row, tuple(cols))
 
     def read_row_to_capacitor(self, row, col_mask):
         """Non-destructively copy selected cells into the SA capacitors."""
@@ -220,7 +213,7 @@ class CrossbarArray:
         if cols:
             self.sa_capacitor[:, cols] = self.cells[:, row, cols]
             self.cap_loaded[cols] = True
-        self.trace.emit(self.cost, self.bank, self.lane, "ROW_READ", row, tuple(cols))
+        self.trace.emit(self.cost, self.lane, "ROW_READ", row, tuple(cols))
         return self.cells[:, row, cols].copy()
 
     def read_row_to_latch(self, row, col_mask):
@@ -232,7 +225,7 @@ class CrossbarArray:
         if cols:
             self.sa_latch[:, cols] = self.cells[:, row, cols]
             self.latch_loaded[cols] = True
-        self.trace.emit(self.cost, self.bank, self.lane, "ROW_READ", row, tuple(cols))
+        self.trace.emit(self.cost, self.lane, "ROW_READ", row, tuple(cols))
         return self.cells[:, row, cols].copy()
 
     def sa_xor(self, col_mask):
@@ -245,7 +238,7 @@ class CrossbarArray:
                 raise UninitializedSense("SA column %d not fully loaded" % col)
         if cols:
             self.sa_latch[:, cols] ^= self.sa_capacitor[:, cols]
-        self.trace.emit(self.cost, self.bank, self.lane, "SA_XOR", -1, tuple(cols))
+        self.trace.emit(self.cost, self.lane, "SA_XOR", -1, tuple(cols))
         return self.sa_latch[:, cols].copy()
 
     def offset_write(self, src_col, dst_col, v):
@@ -257,7 +250,7 @@ class CrossbarArray:
         self.row_buffer[:, dst_col] = v
         self.buffer_staged[dst_col] = True
         self.trace.emit(
-            self.cost, self.bank, self.lane, "OFFSET_WRITE", -1, (src_col, dst_col)
+            self.cost, self.lane, "OFFSET_WRITE", -1, (src_col, dst_col)
         )
 
     def write_back_row(self, row):
@@ -270,7 +263,7 @@ class CrossbarArray:
         self.cells[:, row, cols] = self.row_buffer[:, cols]
         self.buffer_staged[:] = False
         self.trace.emit(
-            self.cost, self.bank, self.lane, "BUFFER_WRITEBACK", row, tuple(cols)
+            self.cost, self.lane, "BUFFER_WRITEBACK", row, tuple(cols)
         )
 
     # -- cost-only peripheral evaluations -------------------------------
@@ -279,7 +272,7 @@ class CrossbarArray:
         """Record peripheral LUT evaluation cost (S-box or M-2 batches)."""
         if kind not in ("SBOX_EVAL", "M2_EVAL"):
             raise ConfigError("count_eval expects SBOX_EVAL or M2_EVAL")
-        self.trace.emit(self.cost, self.bank, self.lane, kind, row, tuple(cols), batches)
+        self.trace.emit(self.cost, self.lane, kind, row, tuple(cols), batches)
 
     # -- zero-cost inspection (debug / verification only) ----------------
 

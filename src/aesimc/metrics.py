@@ -12,12 +12,15 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-# Clocks and sizes of the published tables; the audit recomputes the
-# published rows at these.
+from .gfref import BLOCK_BYTES
+
+# Clocks of the published tables; the audit recomputes the published rows
+# at these.
 F_RF_HZ = 13.56e6
 F_UNIFORM_HZ = 30e6
-BLOCK_SIZE_BITS = 128
-BYTES_PER_CIPHER = 16
+# AES-128 blocks, the only size the simulator encrypts
+BYTES_PER_CIPHER = BLOCK_BYTES
+BLOCK_SIZE_BITS = 8 * BLOCK_BYTES
 
 _TEXT_COLUMNS = ("table", "work_label", "device", "P_unit")
 _WATTS_PER_UNIT = {"mW": 1e-3, "W": 1.0}

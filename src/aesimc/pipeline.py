@@ -4,9 +4,9 @@ across banks. The default calibrated preset ("ref26") totals 26 cycles per
 final round without MixColumns, and a 4-cycle drain/readout. The stages
 and their critical paths are those of aesimc.program.STAGES.
 
-A Pipeline runs its configuration's compiled program (see
-aesimc.program) on the whole batch at once; counts, energy and trace
-events are a fold over the program, computed without the data."""
+A Pipeline compiles its configuration's program (see aesimc.program)
+and folds its counts, energy and trace events when it is built, without
+the data; a run only moves the whole batch through that program."""
 
 from dataclasses import dataclass
 
@@ -83,63 +83,45 @@ class AggregateReport:
     energy_per_block_pJ: float
     config_hash: str
 
-    def to_dict(self):
-        return {
-            "blocks": self.blocks,
-            "cycles_total": self.cycles_total,
-            "energy_pJ_total": self.energy_pJ_total,
-            "cycles_per_block": self.cycles_per_block,
-            "energy_per_block_pJ": self.energy_per_block_pJ,
-            "config_hash": self.config_hash,
-        }
-
 
 class Pipeline:
     """One bank: a lane pair plus its schedule. Correctness never
     depends on the cost table, schedule, or parallelism knobs; those
-    affect only the reported cycles and energy."""
+    affect only the reported cycles and energy. The program is compiled
+    and its counts and energy folded here, once; an invalid layout or
+    geometry is rejected here too."""
 
     def __init__(self, cost_table=None, crosslane_extra_cycles_per_byte=0,
-                 layout=None, parallelism=None, rows=16, cols=16, bank=0,
-                 initiation_interval=None, trace_detail=False,
-                 config_hash=""):
+                 layout=None, parallelism=None, rows=16, cols=16,
+                 initiation_interval=0, trace_detail=False, config_hash=""):
         self.cost_table = cost_table or CostTable.default()
         self.schedule = Schedule.from_cost_table(
             self.cost_table, crosslane_extra_cycles_per_byte)
-        self.layout = layout or LaneLayout()
-        self.parallelism = parallelism or ParallelismConfig()
-        self.rows = rows
-        self.cols = cols
-        self.bank = bank
-        self.trace_detail = trace_detail
         self.config_hash = config_hash
-        if initiation_interval is None:
-            initiation_interval = self.schedule.total_cycles_per_block
-        if initiation_interval < 1:
-            raise ConfigError("initiation interval must be >= 1")
-        self.initiation_interval = initiation_interval
+        if initiation_interval < 0:
+            raise ConfigError("initiation interval must be >= 0 "
+                              "(0 = block latency)")
+        self.initiation_interval = (initiation_interval
+                                    or self.schedule.total_cycles_per_block)
+        # shared with every Pipeline of the same layout, parallelism and
+        # geometry
+        self.program = compile_program(layout or LaneLayout(),
+                                       parallelism or ParallelismConfig(),
+                                       rows, cols)
         self.trace = TraceRecorder(detail=trace_detail)
-
-    def program(self):
-        """The compiled program of this configuration, shared with every
-        Pipeline of the same layout, parallelism and geometry."""
-        return compile_program(self.layout, self.parallelism, self.rows, self.cols)
+        self.trace.counts.update(self.program.counts)
+        self.trace.energy_pJ = self.program.energy_pJ(self.cost_table)
+        if trace_detail:
+            self.trace.events = TraceEvents(self.program, self.cost_table,
+                                            self.schedule.starts)
 
     def run_batch(self, plaintexts, keys):
         """Encrypt a batch of independent blocks through one identical
         micro-op sequence. Returns (ciphertexts, cycles_per_block,
         energy_per_block_pJ)."""
         plaintexts, keys = _block_pairs(plaintexts, keys)
-        program = self.program()
-        cts = program.run(plaintexts, keys)
-        trace = self.trace
-        trace.reset()
-        trace.counts.update(program.counts)
-        trace.energy_pJ = program.energy_pJ(self.cost_table)
-        if trace.detail:
-            trace.events = TraceEvents(program, self.cost_table,
-                                       self.schedule.starts, self.bank)
-        return cts, self.schedule.total_cycles_per_block, trace.energy_pJ
+        return (self.program.run(plaintexts, keys),
+                self.schedule.total_cycles_per_block, self.trace.energy_pJ)
 
     def run_block(self, plaintext, key):
         """Encrypt one 16-byte block; returns (ct, cycles, energy_pJ)."""
@@ -180,7 +162,7 @@ class BankFarm:
         """The farm's figures for n blocks dealt round-robin to its banks;
         they depend on the count alone, not on the data."""
         pipe = self.pipeline
-        energy_per_block = pipe.program().energy_pJ(pipe.cost_table)
+        energy_per_block = pipe.trace.energy_pJ
         # summed bank by bank, as the banks would report their shares
         energy_total = 0.0
         for b in range(min(self.banks, n)):

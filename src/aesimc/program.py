@@ -274,14 +274,14 @@ class Program:
 
 class TraceEvents:
     """A run's trace events in program order, each stamped with the start
-    cycle of its stage. An event is made only when it is read, so a trace
-    holds no memory per event."""
+    cycle of its stage and with bank 0: a bank farm runs one pass. An
+    event is made only when it is read, so a trace holds no memory per
+    event."""
 
-    def __init__(self, program, cost_table, stage_starts, bank):
+    def __init__(self, program, cost_table, stage_starts):
         self.program = program
         self.energy = {k: cost_table[k].energy_pJ for k in MICRO_OP_KINDS}
         self.stage_starts = stage_starts
-        self.bank = bank
 
     def __len__(self):
         return self.program.n_ops
@@ -291,7 +291,7 @@ class TraceEvents:
         for ph in self.program.phases:
             cycle = self.stage_starts[ph.stage]
             for lane, kind, row, col_mask, count in ph.ops:
-                yield MicroOpEvent(cycle, self.bank, lane, kind, row, col_mask,
+                yield MicroOpEvent(cycle, 0, lane, kind, row, col_mask,
                                    energy[kind] * count)
 
     def jsonl(self):
@@ -300,7 +300,7 @@ class TraceEvents:
         ops tuple (rounds 1-9 share theirs) is formatted once per call
         into a template whose only slot is its stage's start cycle."""
         dumps = json.dumps
-        head = '{"bank": %s, "col_mask": ' % dumps(self.bank)
+        head = '{"bank": 0, "col_mask": '
         masks, kinds, templates = {}, {}, {}
         for ph in self.program.phases:
             pieces = templates.get(ph.ops)

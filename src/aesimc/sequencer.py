@@ -86,14 +86,13 @@ class LanePairSequencer:
     form lets the state be inspected between phases."""
 
     def __init__(self, cost_table, trace, layout=None, parallelism=None,
-                 rows=16, cols=16, bank=0, batch=1):
+                 rows=16, cols=16, batch=1):
         if batch < 1:
             raise ConfigError("batch must be >= 1")
         self.layout = layout or LaneLayout()
         self.parallelism = parallelism or ParallelismConfig()
         self.cost_table = cost_table
         self.trace = trace
-        self.bank = bank
         self.batch = batch
         self.program = compile_program(self.layout, self.parallelism, rows, cols)
         self.machine = Machine(batch, rows)
@@ -104,8 +103,7 @@ class LanePairSequencer:
         self.machine.execute(phase.instrs)
         self.crosslane_bytes += phase.crosslane_bytes
         for lane, kind, row, col_mask, count in phase.ops:
-            self.trace.emit(self.cost_table, self.bank, lane, kind, row,
-                            col_mask, count)
+            self.trace.emit(self.cost_table, lane, kind, row, col_mask, count)
 
     def _step(self, name, rnd=1):
         self._run(self.program.phase(name, rnd))

@@ -340,8 +340,11 @@ def test_sweep_rejects_invalid_ranges(bad, capsys):
 ])
 def test_metrics_rejects_what_verify_rejects(tmp_path, capsys, line):
     cfg = write(tmp_path / "run.cfg", line + "\n")
+    empty = write(tmp_path / "empty.txt", "")
+    key = write(tmp_path / "key.txt", KEY_HEX + "\n")
     assert cli.main(["verify", "--blocks", "1", "--config", cfg]) == cli.EXIT_CONFIG
     assert cli.main(["metrics", "--config", cfg]) == cli.EXIT_CONFIG
+    assert cli.main(["encrypt", empty, key, "--config", cfg]) == cli.EXIT_CONFIG
     assert "Thr=" not in capsys.readouterr().out
 
 
@@ -431,6 +434,8 @@ config_lines = st.one_of(
     st.sampled_from(["warp.factor=9", "seed=1", "schedule.preset=ref26",
                      "layout.bytes_per_row=2",
                      "schedule.total_cycles_per_block=26",
+                     "metrics.block_size_bits=64",
+                     "metrics.bytes_per_cipher=16",
                      "banks"]).map(str.encode),
     st.binary(max_size=6),
 )

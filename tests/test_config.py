@@ -25,6 +25,18 @@ def test_default_config_builds_the_default_model():
     assert config.parallelism() == ParallelismConfig()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("layout.t_row", 99),
+    ("geometry.rows", 8),
+])
+def test_builders_reject_an_invalid_model(key, value):
+    config = RunConfig({key: value})
+    with pytest.raises(ConfigError):
+        config.pipeline()
+    with pytest.raises(ConfigError):
+        config.bank_farm()
+
+
 def test_unknown_key_rejected_with_line_number(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("banks=2\nwarp.factor=9\n")

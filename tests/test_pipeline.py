@@ -104,8 +104,11 @@ def test_costs_do_not_affect_correctness():
 
 def test_stream_cycles_formula():
     pipe = Pipeline()
+    assert pipe.initiation_interval == 26  # 0, the default, = block latency
     assert pipe.stream_cycles(1) == 26
     assert pipe.stream_cycles(10) == 26 + 9 * pipe.initiation_interval
+    with pytest.raises(ConfigError):
+        Pipeline(initiation_interval=-1)
     pipelined = Pipeline(initiation_interval=2)
     assert pipelined.stream_cycles(10) == 26 + 9 * 2
     with pytest.raises(ConfigError):

@@ -113,7 +113,7 @@ def test_bank_farms_share_one_compiled_program():
     pts, keys = random_pairs(400, 6)
     results = [farm.run_banked(pts, keys)[0] for farm in farms]
     assert np.array_equal(results[0], results[1])
-    programs = {id(farm.pipeline.program()) for farm in farms}
+    programs = {id(farm.pipeline.program) for farm in farms}
     assert len(programs) == 1
     # one fold serves every bank
     assert all(farm.pipeline.trace.energy_pJ == BLOCK_ENERGY_PJ
@@ -166,4 +166,4 @@ def test_compile_rejects_unsupported_configurations(rows, layout, message):
     with pytest.raises(ConfigError, match=message):
         compile_program(layout, ParallelismConfig(), rows, 16)
     with pytest.raises(ConfigError, match=message):
-        Pipeline(layout=layout, rows=rows).run_block(bytes(16), bytes(16))
+        Pipeline(layout=layout, rows=rows)
