@@ -3,14 +3,16 @@ simulator against the golden reference over seeded random blocks,
 regenerate the published comparison tables, and sweep the parallelism /
 bank knobs into a CSV report.
 
-Exit codes: 0 ok, 1 verification mismatch, 2 input format error (also
-an unreadable or non-UTF-8 encrypt input), 3 config/dataset error (also
-an unreadable or non-UTF-8 config file, or an unwritable output).
+Exit codes: 0 ok (also when the reader of stdout closes it early), 1
+verification mismatch, 2 input format error (also an unreadable or
+non-UTF-8 encrypt input), 3 config/dataset error (also an unreadable or
+non-UTF-8 config file, or an unwritable output).
 """
 
 import argparse
 import csv
 import hashlib
+import os
 import random
 import sys
 from functools import lru_cache
@@ -101,8 +103,9 @@ def cmd_encrypt(args):
             file=sys.stderr,
         )
     if args.trace:
-        # an empty input leaves an empty trace, not a stale one
-        with open(args.trace, "w") as fh:
+        # an empty input leaves an empty trace, not a stale one; the
+        # trace is about 390 KB, so write it in 64 KiB pieces
+        with open(args.trace, "w", buffering=1 << 16) as fh:
             if blocks:
                 fh.writelines(farm.pipeline.trace.events.jsonl())
     out_text = "".join(line + "\n" for line in lines)
@@ -325,10 +328,30 @@ def build_parser():
     return parser
 
 
+def _silence_stdout():
+    """Point a descriptor-backed stdout at the null device, so that the
+    interpreter's last flush of what the closed reader left unread fails
+    nowhere. A stdout without a descriptor (StringIO) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`aesimc sweep | head -1`): it
+        # wanted no more output, which is no error
+        _silence_stdout()
+        return EXIT_OK
     except CrossbarError as exc:
         print("config error: %s" % exc, file=sys.stderr)
     except MetricsError as exc:

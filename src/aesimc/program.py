@@ -6,7 +6,7 @@ out from it and Schedule.from_cost_table budgets its stages. Control flow
 never depends on the data, so compile_program builds the whole sequence
 once per (layout, parallelism, rows, cols) and caches it. Each phase of
 the program holds its instructions, each of which runs one row operation
-on both lanes of a (batch, lane, row, nibble) cell tensor, and, in trace
+on both lanes of a (row, batch, lane, nibble) cell tensor, and, in trace
 order, the crossbar micro-ops those instructions stand for. Costs are a
 fold over the micro-ops and never touch the data.
 """
@@ -108,16 +108,17 @@ class KeyGenState:
 
 # -- state <-> lane mapping and nibble packing ----------------------------
 # state[r][c] = block byte 4c + r. Lane L owns state columns 2L and 2L+1,
-# so lane bytes are indexed (batch, lane, row, slot) with c = 2L + slot.
+# so lane bytes are indexed (row, batch, lane, slot) with c = 2L + slot,
+# the row first as in the cell tensor.
 
 
 def _lane_bytes(blocks):
-    """(batch, 16) blocks -> (batch, lane, row, slot) bytes."""
-    return blocks.reshape(-1, 2, 2, 4).transpose(0, 1, 3, 2)
+    """(batch, 16) blocks -> (row, batch, lane, slot) bytes."""
+    return blocks.reshape(-1, 2, 2, 4).transpose(3, 0, 1, 2)
 
 
 def _blocks(lane_bytes):
-    return lane_bytes.transpose(0, 1, 3, 2).reshape(-1, 16)
+    return lane_bytes.transpose(1, 2, 3, 0).reshape(-1, 16)
 
 
 _BYTE = np.arange(256, dtype=np.uint8)
@@ -142,52 +143,52 @@ def _join(nibbles):
 
 def _load(m, data, key):
     pts, keys = m.inputs
-    m.cells[:, :, data] = _split(_lane_bytes(pts))
-    m.cells[:, :, key] = _split(_lane_bytes(keys))
+    m.cells[data] = _split(_lane_bytes(pts))
+    m.cells[key] = _split(_lane_bytes(keys))
     m.keygen = KeyGenState(keys)
 
 
 def _xor_rows(m, dst, a, b):
-    m.cells[:, :, dst] = m.cells[:, :, a] ^ m.cells[:, :, b]
+    cells = m.cells
+    np.bitwise_xor(cells[a], cells[b], out=cells[dst])
 
 
 def _sbox_row(m, r, row):
-    m.sub[r] = SBOX_ARR[_join(m.cells[:, :, row])]
+    m.sub[r] = SBOX_ARR[_join(m.cells[row])]
 
 
 def _shift_row(m, r, row, perm):
     # the S-box outputs of row r, by state column, rotated by perm
     rotated = m.sub.pop(r).reshape(-1, 4)[:, perm]
-    m.cells[:, :, row] = _split(rotated).reshape(-1, 2, 4)
+    m.cells[row] = _split(rotated).reshape(-1, 2, 4)
 
 
 def _m2_row(m, row, dst):
-    doubled = M2_ARR[_join(m.cells[:, :, row])]
-    m.cells[:, :, dst] = _split(doubled)
+    m.cells[dst] = _split(M2_ARR[_join(m.cells[row])])
 
 
 def _mix_row(m, row, t, m2, m2_next):
     cells = m.cells
-    cells[:, :, row] ^= cells[:, :, t] ^ cells[:, :, m2] ^ cells[:, :, m2_next]
+    cells[row] ^= cells[t] ^ cells[m2] ^ cells[m2_next]
 
 
 def _key_update(m, key, rnd):
-    round_key = m.keygen.next_round(rnd)
-    m.cells[:, :, key] = _split(_lane_bytes(round_key))
+    m.cells[key] = _split(_lane_bytes(m.keygen.next_round(rnd)))
 
 
 def _readout(m, data):
-    m.output = _blocks(_join(m.cells[:, :, data]))
+    m.output = _blocks(_join(m.cells[data]))
 
 
 class Machine:
     """Execution state of one lane pair for a batch of blocks: the
-    (batch, lane, row, nibble) cell tensor, holding the four nibble cells
+    (row, batch, lane, nibble) cell tensor, holding the four nibble cells
     of each lane row, the S-box outputs held per row between SubBytes and
-    ShiftRows, and the shared key generator."""
+    ShiftRows, and the shared key generator. The row comes first, so each
+    row operand cells[r] is one contiguous block of the batch."""
 
     def __init__(self, batch, rows):
-        self.cells = np.zeros((batch, 2, rows, len(CELL_COLS)), dtype=np.uint8)
+        self.cells = np.zeros((rows, batch, 2, len(CELL_COLS)), dtype=np.uint8)
         self.inputs = None  # (plaintexts, keys) for the load instruction
         self.output = None  # ciphertexts from the readout instruction
         self.sub = {}
@@ -199,8 +200,8 @@ class Machine:
 
     def state(self, rows):
         """The 4x4 state held in rows, decoded at no cost (for checks)."""
-        lane_bytes = _join(self.cells[:, :, list(rows)])
-        return lane_bytes.transpose(0, 2, 1, 3).reshape(-1, 4, 4)
+        lane_bytes = _join(self.cells[list(rows)])
+        return lane_bytes.transpose(1, 0, 2, 3).reshape(-1, 4, 4)
 
 
 # -- the program -------------------------------------------------------------
@@ -227,6 +228,38 @@ def _phase(name, instrs, crosslane_bytes=0):
     return Phase(name, 0, None, tuple(instrs), ops, crosslane_bytes)
 
 
+# Cost tables whose trace templates (about 64 KiB each) a Program keeps.
+TEMPLATE_CACHE = 4
+
+
+def _templates(phases, energies):
+    """Per phase, the pieces of its JSON trace lines, split where its
+    stage's start cycle goes. Each distinct ops tuple (rounds 1-9 share
+    theirs) is formatted once, and phases with the same ops share it."""
+    dumps = json.dumps
+    energy = dict(zip(MICRO_OP_KINDS, energies))
+    head = '{"bank": 0, "col_mask": '
+    masks, kinds, by_ops = {}, {}, {}
+    for ph in phases:
+        if ph.ops in by_ops:
+            continue
+        # the lines of ph.ops, split where their cycles go
+        pieces, tail = [], ""
+        for lane, kind, row, col_mask, count in ph.ops:
+            mask = masks.get(col_mask)
+            if mask is None:
+                mask = masks[col_mask] = dumps(list(col_mask))
+            op = kinds.get((kind, count))
+            if op is None:
+                op = kinds[kind, count] = (dumps(energy[kind] * count), dumps(kind))
+            pieces.append(tail + head + mask + ', "cycle": ')
+            tail = ', "energy_pJ": %s, "lane": %d, "op": %s, "row": %d}\n' % (
+                op[0], lane, op[1], row)
+        pieces.append(tail)
+        by_ops[ph.ops] = tuple(pieces)
+    return tuple(by_ops[ph.ops] for ph in phases)
+
+
 class Program:
     """The whole-block micro-op program of one configuration: its phases
     in order, their instructions flattened for a run, and the per-kind
@@ -245,6 +278,7 @@ class Program:
         self.n_ops = sum(len(ph.ops) for ph in self.phases)
         self._index = {(ph.name, ph.rnd): ph for ph in self.phases}
         self._energy = {}
+        self._templates = {}
 
     def phase(self, name, rnd):
         if (name, rnd) not in self._index:
@@ -271,6 +305,19 @@ class Program:
             self._energy[energies] = total
         return self._energy[energies]
 
+    def trace_templates(self, energies):
+        """The per-phase trace line templates for the per-kind energies
+        in MICRO_OP_KINDS order; built once per cost table, and kept for
+        the last TEMPLATE_CACHE tables."""
+        # repr tells 0.0 from -0.0 and 5 from 5.0, which print apart
+        key = tuple(map(repr, energies))
+        templates = self._templates.get(key)
+        if templates is None:
+            if len(self._templates) >= TEMPLATE_CACHE:
+                del self._templates[next(iter(self._templates))]
+            templates = self._templates[key] = _templates(self.phases, energies)
+        return templates
+
 
 class TraceEvents:
     """A run's trace events in program order, each stamped with the start
@@ -280,14 +327,14 @@ class TraceEvents:
 
     def __init__(self, program, cost_table, stage_starts):
         self.program = program
-        self.energy = {k: cost_table[k].energy_pJ for k in MICRO_OP_KINDS}
+        self.energies = tuple(cost_table[k].energy_pJ for k in MICRO_OP_KINDS)
         self.stage_starts = stage_starts
 
     def __len__(self):
         return self.program.n_ops
 
     def __iter__(self):
-        energy = self.energy
+        energy = dict(zip(MICRO_OP_KINDS, self.energies))
         for ph in self.program.phases:
             cycle = self.stage_starts[ph.stage]
             for lane, kind, row, col_mask, count in ph.ops:
@@ -296,31 +343,13 @@ class TraceEvents:
 
     def jsonl(self):
         """The trace as JSON lines, one text chunk per phase: each event's
-        line is json.dumps(event.to_dict(), sort_keys=True). Each distinct
-        ops tuple (rounds 1-9 share theirs) is formatted once per call
-        into a template whose only slot is its stage's start cycle."""
-        dumps = json.dumps
-        head = '{"bank": 0, "col_mask": '
-        masks, kinds, templates = {}, {}, {}
-        for ph in self.program.phases:
-            pieces = templates.get(ph.ops)
-            if pieces is None:
-                # the lines of ph.ops, split where their cycles go
-                pieces, tail = [], ""
-                for lane, kind, row, col_mask, count in ph.ops:
-                    mask = masks.get(col_mask)
-                    if mask is None:
-                        mask = masks[col_mask] = dumps(list(col_mask))
-                    op = kinds.get((kind, count))
-                    if op is None:
-                        op = kinds[kind, count] = (
-                            dumps(self.energy[kind] * count), dumps(kind))
-                    pieces.append(tail + head + mask + ', "cycle": ')
-                    tail = ', "energy_pJ": %s, "lane": %d, "op": %s, "row": %d}\n' % (
-                        op[0], lane, op[1], row)
-                pieces.append(tail)
-                templates[ph.ops] = pieces
-            yield dumps(self.stage_starts[ph.stage]).join(pieces)
+        line is json.dumps(event.to_dict(), sort_keys=True), made by
+        joining the program's template for this cost table around the
+        phase's stage start cycle."""
+        cycles = {name: json.dumps(c) for name, c in self.stage_starts.items()}
+        templates = self.program.trace_templates(self.energies)
+        for ph, pieces in zip(self.program.phases, templates):
+            yield cycles[ph.stage].join(pieces)
 
 
 def _row_index(rows):

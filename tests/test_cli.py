@@ -1,7 +1,12 @@
 """Exit codes, determinism, and artifact formats of the command line."""
 
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,3 +467,53 @@ def test_generated_configs_end_in_a_documented_exit_code(tmp_path, text):
         ["encrypt", pts, key, "--out", str(tmp_path / "ct.txt")],
     ):
         assert cli.main(argv + ["--config", str(cfg)]) in (0, 2, 3)
+
+
+# -- a closed stdout ------------------------------------------------------------
+
+
+class ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sbox-units", "1", "--m2-units", "1:2"],
+    ["verify", "--blocks", "2"],
+    ["metrics"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_0_quietly(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def _cli_process(argv, stdout):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "aesimc.cli"] + argv,
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_reader_closing_the_pipe_early_exits_0_quietly():
+    # about 140 KB of CSV, more than a pipe holds: the writer meets the
+    # closed end while it runs
+    with _cli_process(["sweep", "--banks", "1:128"], subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"sbox_units,")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == cli.EXIT_OK
+
+
+def test_output_into_a_closed_pipe_exits_0_quietly():
+    # a few lines, still buffered when the command returns: they meet the
+    # closed end at the last flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with _cli_process(["metrics"], write_end) as proc:
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=120) == cli.EXIT_OK
+    finally:
+        os.close(write_end)

@@ -13,7 +13,7 @@ from aesimc import cli, gfref
 from aesimc.config import RunConfig
 from aesimc.crossbar import ConfigError, CostTable, TraceRecorder
 from aesimc.pipeline import Pipeline
-from aesimc.program import compile_program
+from aesimc.program import Machine, compile_program
 from aesimc.sequencer import LaneLayout, LanePairSequencer, ParallelismConfig
 
 PT_HEX = "00112233445566778899aabbccddeeff"
@@ -77,6 +77,42 @@ def test_trace_jsonl_renders_each_event_as_json_dumps(sbox_units, m2_units):
     events = pipe.trace.events
     assert "".join(events.jsonl()) == "".join(
         json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in events)
+
+
+def test_trace_templates_follow_each_cost_table_and_schedule():
+    # three cost tables and two schedules over one program, rendered in
+    # turn: each rendering is its own trace; -0.0 prints apart from 0.0
+    pipes = [RunConfig(entries).pipeline(trace_detail=True) for entries in (
+        {},
+        {"cost.sa_xor.energy_pj": 0.0},
+        {"cost.sa_xor.energy_pj": -0.0},
+        {"schedule.crosslane_extra_cycles_per_byte": 2},
+    )]
+    assert len({id(pipe.program) for pipe in pipes}) == 1
+    expected = ["".join(json.dumps(e.to_dict(), sort_keys=True) + "\n"
+                        for e in pipe.trace.events) for pipe in pipes]
+    assert len(set(expected)) == len(pipes)
+    for _ in range(2):
+        for pipe, text in zip(pipes, expected):
+            assert "".join(pipe.trace.events.jsonl()) == text
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+def test_machine_rows_are_contiguous_and_decode_to_the_fips_state(batch):
+    layout = LaneLayout()
+    program = compile_program(layout, ParallelismConfig(), 16, 16)
+    m = Machine(batch, program.rows)
+    # (row, batch, lane, nibble): a row operand is one contiguous block
+    assert m.cells.shape == (program.rows, batch, 2, 4)
+    assert all(m.cells[r].flags.c_contiguous for r in range(program.rows))
+    pt = np.frombuffer(bytes.fromhex(PT_HEX), dtype=np.uint8)
+    key = np.frombuffer(bytes.fromhex(KEY_HEX), dtype=np.uint8)
+    m.inputs = (np.tile(pt, (batch, 1)), np.tile(key, (batch, 1)))
+    m.execute(program.phase("load", 0).instrs)
+    # FIPS-197 section 3.4: s[r][c] = in[r + 4c]
+    for rows, block in ((layout.data_rows, pt), (layout.key_rows, key)):
+        state = np.tile(block.reshape(4, 4).T, (batch, 1, 1))
+        assert np.array_equal(m.state(rows), state)
 
 
 @pytest.mark.parametrize("batch", [1, 7])
