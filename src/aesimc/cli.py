@@ -3,10 +3,11 @@ simulator against the golden reference over seeded random blocks,
 regenerate the published comparison tables, and sweep the parallelism /
 bank knobs into a CSV report.
 
-Exit codes: 0 ok (also when the reader of stdout closes it early), 1
-verification mismatch, 2 input format error (also an unreadable or
-non-UTF-8 encrypt input), 3 config/dataset error (also an unreadable or
-non-UTF-8 config file, or an unwritable output).
+Exit codes: 0 ok, 1 verification mismatch, 2 input format error (also
+an unreadable or non-UTF-8 encrypt input), 3 config/dataset error (also
+an unreadable or non-UTF-8 config file, or an unwritable output). A
+reader that closes stdout early is no error: a command it cuts short
+exits 0, and one that had finished keeps its own code.
 """
 
 import argparse
@@ -328,12 +329,39 @@ def build_parser():
     return parser
 
 
-def _silence_stdout():
-    """Point a descriptor-backed stdout at the null device, so that the
+class _Stdout:
+    """Stands in for sys.stdout while a command runs and notes whether a
+    write to it met a closed reader, so that a broken pipe on stdout is
+    told apart from one on an --out or --trace file."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.reader_gone = False
+
+    def write(self, text):
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError:
+            self.reader_gone = True
+            raise
+
+    def flush(self):
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self.reader_gone = True
+            raise
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+
+def _silence(stream):
+    """Point a descriptor-backed stream at the null device, so that the
     interpreter's last flush of what the closed reader left unread fails
-    nowhere. A stdout without a descriptor (StringIO) is left as it is."""
+    nowhere. A stream without a descriptor (StringIO) is left as it is."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (OSError, ValueError):
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -343,21 +371,32 @@ def _silence_stdout():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    real_stdout = sys.stdout
+    stdout = sys.stdout = _Stdout(real_stdout)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        try:
+            code = args.func(args)
+        except BrokenPipeError:
+            if not stdout.reader_gone:
+                raise
+            # the reader of stdout has gone (`aesimc sweep | head -1`): it
+            # wanted no more output, which is no error
+            code = EXIT_OK
+        try:
+            stdout.flush()
+        except BrokenPipeError:
+            pass  # the reader left after the command's last write
         return code
-    except BrokenPipeError:
-        # the reader of stdout has gone (`aesimc sweep | head -1`): it
-        # wanted no more output, which is no error
-        _silence_stdout()
-        return EXIT_OK
     except CrossbarError as exc:
         print("config error: %s" % exc, file=sys.stderr)
     except MetricsError as exc:
         print("dataset/config error: %s" % exc, file=sys.stderr)
     except (OSError, UnicodeDecodeError) as exc:
         print("file error: %s" % exc, file=sys.stderr)
+    finally:
+        sys.stdout = real_stdout
+        if stdout.reader_gone:
+            _silence(real_stdout)
     return EXIT_CONFIG
 
 

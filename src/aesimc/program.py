@@ -228,38 +228,6 @@ def _phase(name, instrs, crosslane_bytes=0):
     return Phase(name, 0, None, tuple(instrs), ops, crosslane_bytes)
 
 
-# Cost tables whose trace templates (about 64 KiB each) a Program keeps.
-TEMPLATE_CACHE = 4
-
-
-def _templates(phases, energies):
-    """Per phase, the pieces of its JSON trace lines, split where its
-    stage's start cycle goes. Each distinct ops tuple (rounds 1-9 share
-    theirs) is formatted once, and phases with the same ops share it."""
-    dumps = json.dumps
-    energy = dict(zip(MICRO_OP_KINDS, energies))
-    head = '{"bank": 0, "col_mask": '
-    masks, kinds, by_ops = {}, {}, {}
-    for ph in phases:
-        if ph.ops in by_ops:
-            continue
-        # the lines of ph.ops, split where their cycles go
-        pieces, tail = [], ""
-        for lane, kind, row, col_mask, count in ph.ops:
-            mask = masks.get(col_mask)
-            if mask is None:
-                mask = masks[col_mask] = dumps(list(col_mask))
-            op = kinds.get((kind, count))
-            if op is None:
-                op = kinds[kind, count] = (dumps(energy[kind] * count), dumps(kind))
-            pieces.append(tail + head + mask + ', "cycle": ')
-            tail = ', "energy_pJ": %s, "lane": %d, "op": %s, "row": %d}\n' % (
-                op[0], lane, op[1], row)
-        pieces.append(tail)
-        by_ops[ph.ops] = tuple(pieces)
-    return tuple(by_ops[ph.ops] for ph in phases)
-
-
 class Program:
     """The whole-block micro-op program of one configuration: its phases
     in order, their instructions flattened for a run, and the per-kind
@@ -278,7 +246,6 @@ class Program:
         self.n_ops = sum(len(ph.ops) for ph in self.phases)
         self._index = {(ph.name, ph.rnd): ph for ph in self.phases}
         self._energy = {}
-        self._templates = {}
 
     def phase(self, name, rnd):
         if (name, rnd) not in self._index:
@@ -305,19 +272,6 @@ class Program:
             self._energy[energies] = total
         return self._energy[energies]
 
-    def trace_templates(self, energies):
-        """The per-phase trace line templates for the per-kind energies
-        in MICRO_OP_KINDS order; built once per cost table, and kept for
-        the last TEMPLATE_CACHE tables."""
-        # repr tells 0.0 from -0.0 and 5 from 5.0, which print apart
-        key = tuple(map(repr, energies))
-        templates = self._templates.get(key)
-        if templates is None:
-            if len(self._templates) >= TEMPLATE_CACHE:
-                del self._templates[next(iter(self._templates))]
-            templates = self._templates[key] = _templates(self.phases, energies)
-        return templates
-
 
 class TraceEvents:
     """A run's trace events in program order, each stamped with the start
@@ -327,14 +281,14 @@ class TraceEvents:
 
     def __init__(self, program, cost_table, stage_starts):
         self.program = program
-        self.energies = tuple(cost_table[k].energy_pJ for k in MICRO_OP_KINDS)
+        self.energy = {k: cost_table[k].energy_pJ for k in MICRO_OP_KINDS}
         self.stage_starts = stage_starts
 
     def __len__(self):
         return self.program.n_ops
 
     def __iter__(self):
-        energy = dict(zip(MICRO_OP_KINDS, self.energies))
+        energy = self.energy
         for ph in self.program.phases:
             cycle = self.stage_starts[ph.stage]
             for lane, kind, row, col_mask, count in ph.ops:
@@ -343,13 +297,31 @@ class TraceEvents:
 
     def jsonl(self):
         """The trace as JSON lines, one text chunk per phase: each event's
-        line is json.dumps(event.to_dict(), sort_keys=True), made by
-        joining the program's template for this cost table around the
-        phase's stage start cycle."""
-        cycles = {name: json.dumps(c) for name, c in self.stage_starts.items()}
-        templates = self.program.trace_templates(self.energies)
-        for ph, pieces in zip(self.program.phases, templates):
-            yield cycles[ph.stage].join(pieces)
+        line is json.dumps(event.to_dict(), sort_keys=True). Each distinct
+        ops tuple (rounds 1-9 share theirs) is formatted once per call
+        into a template whose only slot is its stage's start cycle."""
+        dumps = json.dumps
+        head = '{"bank": 0, "col_mask": '
+        masks, kinds, templates = {}, {}, {}
+        for ph in self.program.phases:
+            pieces = templates.get(ph.ops)
+            if pieces is None:
+                # the lines of ph.ops, split where their cycles go
+                pieces, tail = [], ""
+                for lane, kind, row, col_mask, count in ph.ops:
+                    mask = masks.get(col_mask)
+                    if mask is None:
+                        mask = masks[col_mask] = dumps(list(col_mask))
+                    op = kinds.get((kind, count))
+                    if op is None:
+                        op = kinds[kind, count] = (
+                            dumps(self.energy[kind] * count), dumps(kind))
+                    pieces.append(tail + head + mask + ', "cycle": ')
+                    tail = ', "energy_pJ": %s, "lane": %d, "op": %s, "row": %d}\n' % (
+                        op[0], lane, op[1], row)
+                pieces.append(tail)
+                templates[ph.ops] = pieces
+            yield dumps(self.stage_starts[ph.stage]).join(pieces)
 
 
 def _row_index(rows):

@@ -488,12 +488,29 @@ def test_closed_stdout_exits_0_quietly(monkeypatch, capsys, argv):
     assert capsys.readouterr().err == ""
 
 
-def _cli_process(argv, stdout):
+class StdoutClosedAtFlush(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_keeps_a_finished_commands_code(monkeypatch, capsys):
+    # the mismatch line is written, then the reader is found gone at the
+    # last flush: the mismatch is still reported by the exit code
+    monkeypatch.setattr(
+        cli.gfref, "encrypt_block", lambda pt, key: b"\x00" * 16
+    )
+    monkeypatch.setattr(sys, "stdout", StdoutClosedAtFlush())
+    assert cli.main(["verify", "--blocks", "2"]) == cli.EXIT_MISMATCH
+    assert capsys.readouterr().err == ""
+
+
+def _cli_process(argv, stdout, **kwargs):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, "-m", "aesimc.cli"] + argv,
-                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+                            stdout=stdout, stderr=subprocess.PIPE, env=env,
+                            **kwargs)
 
 
 def test_reader_closing_the_pipe_early_exits_0_quietly():
@@ -517,3 +534,28 @@ def test_output_into_a_closed_pipe_exits_0_quietly():
             assert proc.wait(timeout=120) == cli.EXIT_OK
     finally:
         os.close(write_end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("command", ["encrypt", "metrics"])
+def test_output_file_into_a_closed_pipe_exits_3(tmp_path, command):
+    # a broken pipe on an --out or --trace file is an unwritable output,
+    # not a closed stdout: exit 3, and stdout keeps what it was given
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    target = "/dev/fd/%d" % write_end
+    if command == "encrypt":
+        pts, key = tmp_path / "pt.txt", tmp_path / "key.txt"
+        pts.write_text(PT_HEX + "\n")
+        key.write_text(KEY_HEX + "\n")
+        argv, printed = ["encrypt", str(pts), str(key), "--trace", target], b""
+    else:
+        argv, printed = ["metrics", "--out", target], b"# regenerated"
+    try:
+        with _cli_process(argv, subprocess.PIPE, pass_fds=(write_end,)) as proc:
+            out, err = proc.communicate(timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert b"file error: [Errno 32] Broken pipe" in err
+    assert out.startswith(printed)
