@@ -48,9 +48,15 @@ def _read_hex_blocks(path):
                 path, lineno, len(text)
             )
         try:
-            blocks.append(bytes.fromhex(text))
+            block = bytes.fromhex(text)
         except ValueError:
             return None, "%s:%d: invalid hex" % (path, lineno)
+        # fromhex skips whitespace, so 32 characters can hold fewer bytes
+        if len(block) != gfref.BLOCK_BYTES:
+            return None, "%s:%d: expected %d bytes, got %d" % (
+                path, lineno, gfref.BLOCK_BYTES, len(block)
+            )
+        blocks.append(block)
     return blocks, None
 
 
@@ -128,21 +134,21 @@ def cmd_verify(args):
     for start in range(0, args.blocks, VERIFY_CHUNK):
         pts, keys = _draw_blocks(rng, min(VERIFY_CHUNK, args.blocks - start))
         cts, _ = farm.run_banked(pts, keys)
-        for i in range(len(cts)):
-            expected = gfref.encrypt_block(bytes(pts[i]), bytes(keys[i]))
-            if bytes(cts[i]) != expected:
+        # slices of one bytes object per array cost less than a bytes()
+        # of each numpy row
+        pt_all, key_all, ct_all = pts.tobytes(), keys.tobytes(), cts.tobytes()
+        for at in range(0, len(ct_all), 16):
+            pt, key, ct = (pt_all[at:at + 16], key_all[at:at + 16],
+                           ct_all[at:at + 16])
+            expected = gfref.encrypt_block(pt, key)
+            if ct != expected:
                 print(
                     "mismatch at block %d: pt=%s key=%s imc=%s golden=%s"
-                    % (
-                        start + i,
-                        bytes(pts[i]).hex(),
-                        bytes(keys[i]).hex(),
-                        bytes(cts[i]).hex(),
-                        expected.hex(),
-                    )
+                    % (start + at // 16, pt.hex(), key.hex(), ct.hex(),
+                       expected.hex())
                 )
                 return EXIT_MISMATCH
-        digest.update(cts.tobytes())
+        digest.update(ct_all)
     report = farm.report(args.blocks)
     print(
         "verified blocks=%d seed=%d banks=%d cycles_total=%d "

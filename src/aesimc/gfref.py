@@ -3,7 +3,12 @@
 Pure-Python, bit-exact implementation used as the correctness oracle for
 the in-memory-computing simulator. State follows the standard column-major
 convention: byte k of a 128-bit block lands at row k % 4, column k // 4.
+The round functions look bytes up in tables (SBOX, XTIME, MUL3) built
+from the arithmetic below; MixColumns keeps the matrix form, so it is
+independent of the shared-term decomposition the simulator runs.
 """
+
+from operator import xor
 
 # Reduction modulus x^8 + x^4 + x^3 + x + 1
 AES_POLY = 0x11B
@@ -23,6 +28,11 @@ def xtime(a):
 def mul3(a):
     """Multiply by 3 in GF(2^8): 3*a = 2*a XOR a."""
     return xtime(a) ^ a
+
+
+# Products by 2 and by 3 of every byte, for the round functions.
+XTIME = tuple(xtime(a) for a in range(256))
+MUL3 = tuple(mul3(a) for a in range(256))
 
 
 def gf_mul(a, b):
@@ -87,12 +97,12 @@ def state_from_block(block):
     """Load 16 bytes into a 4x4 state matrix, column-major."""
     if len(block) != BLOCK_BYTES:
         raise ValueError("block must be 16 bytes, got %d" % len(block))
-    return [[block[4 * c + r] for c in range(4)] for r in range(4)]
+    return [list(block[r::4]) for r in range(4)]
 
 
 def block_from_state(state):
     """Inverse of state_from_block."""
-    return bytes(state[r][c] for c in range(4) for r in range(4))
+    return bytes(b for col in zip(*state) for b in col)
 
 
 def sub_bytes(state):
@@ -101,29 +111,30 @@ def sub_bytes(state):
 
 def shift_rows(state):
     """Rotate row i left by i byte positions; row 0 is unchanged."""
-    return [row[i:] + row[:i] for i, row in enumerate(state)]
+    s0, s1, s2, s3 = state
+    return [s0[:], s1[1:] + s1[:1], s2[2:] + s2[:2], s3[3:] + s3[:3]]
 
 
 def mix_columns(state):
-    out = [[0] * 4 for _ in range(4)]
-    for j in range(4):
-        col = [state[r][j] for r in range(4)]
-        for r in range(4):
-            out[r][j] = (
-                xtime(col[r])
-                ^ mul3(col[(r + 1) % 4])
-                ^ col[(r + 2) % 4]
-                ^ col[(r + 3) % 4]
-            )
-    return out
+    """Each column times the circulant matrix (2 3 1 1): output row r is
+    2*s_r ^ 3*s_(r+1) ^ s_(r+2) ^ s_(r+3), by table lookup."""
+    s0, s1, s2, s3 = state
+    x, m = XTIME, MUL3
+    return [
+        [x[a] ^ m[b] ^ c ^ d for a, b, c, d in zip(s0, s1, s2, s3)],
+        [x[a] ^ m[b] ^ c ^ d for a, b, c, d in zip(s1, s2, s3, s0)],
+        [x[a] ^ m[b] ^ c ^ d for a, b, c, d in zip(s2, s3, s0, s1)],
+        [x[a] ^ m[b] ^ c ^ d for a, b, c, d in zip(s3, s0, s1, s2)],
+    ]
 
 
 def add_round_key(state, round_key):
-    """XOR a 16-byte round key (column-major order) into the state."""
-    return [
-        [state[r][c] ^ round_key[4 * c + r] for c in range(4)]
-        for r in range(4)
-    ]
+    """XOR a 16-byte round key (column-major order) into the state: row r
+    takes every fourth key byte from byte r on."""
+    s0, s1, s2, s3 = state
+    k = round_key
+    return [list(map(xor, s0, k[0::4])), list(map(xor, s1, k[1::4])),
+            list(map(xor, s2, k[2::4])), list(map(xor, s3, k[3::4]))]
 
 
 def expand_key(key):
@@ -132,23 +143,27 @@ def expand_key(key):
         raise ValueError("key must be 16 bytes, got %d" % len(key))
     words = [int.from_bytes(key[4 * i:4 * i + 4], "big") for i in range(4)]
     rcon = 0x01
-    for i in range(4, 44):
-        t = words[i - 1]
-        if i % 4 == 0:
-            t = ((t << 8) | (t >> 24)) & 0xFFFFFFFF  # RotWord
-            t = int.from_bytes(
-                bytes(SBOX[b] for b in t.to_bytes(4, "big")), "big"
-            )  # SubWord
-            t ^= rcon << 24
-            rcon = xtime(rcon)
-        words.append(words[i - 4] ^ t)
+    for _ in range(N_ROUNDS):
+        # W[4r] = W[4r-4] ^ SubWord(RotWord(W[4r-1])) ^ rcon, then
+        # W[j] = W[j-4] ^ W[j-1] for the three words after it
+        t = words[-1]
+        t = (
+            (SBOX[(t >> 16) & 0xFF] ^ rcon) << 24
+            | SBOX[(t >> 8) & 0xFF] << 16
+            | SBOX[t & 0xFF] << 8
+            | SBOX[t >> 24]
+        )
+        rcon = XTIME[rcon]
+        for w in words[-4:]:
+            t ^= w
+            words.append(t)
     return words
 
 
 def round_key_bytes(words, round_index):
     """Round key for round_index (0..10) as 16 bytes, column-major."""
     return b"".join(
-        words[4 * round_index + c].to_bytes(4, "big") for c in range(4)
+        w.to_bytes(4, "big") for w in words[4 * round_index:4 * round_index + 4]
     )
 
 

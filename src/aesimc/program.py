@@ -26,6 +26,8 @@ M2_ARR = np.array([gfref.xtime(x) for x in range(256)], dtype=np.uint8)
 
 # rcon first bytes for rounds 1..10
 RCON = (None, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
+# RotWord of the last key word W3 (bytes 12..15)
+_ROT_WORD = np.array([13, 14, 15, 12], dtype=np.intp)
 
 # The four nibble cells of a lane row: two bytes, high nibble first.
 CELL_COLS = (0, 1, 2, 3)
@@ -83,7 +85,7 @@ class KeyGenState:
 
     def __init__(self, key_bytes):
         # (batch, 16), big-endian word order W0..W3
-        self.key = np.array(key_bytes, dtype=np.uint8)
+        self.key = np.array(key_bytes, dtype=np.uint8, order="C")
         self.round = 0
 
     def next_round(self, rnd):
@@ -94,16 +96,18 @@ class KeyGenState:
                 "round %d requested after round %d" % (rnd, self.round)
             )
         prev = self.key
-        new = np.empty_like(prev)
-        t = SBOX_ARR[prev[:, [13, 14, 15, 12]]]  # RotWord then SubWord
+        t = SBOX_ARR.take(prev.take(_ROT_WORD, axis=1))  # RotWord, SubWord
         t[:, 0] ^= RCON[rnd]
-        new[:, 0:4] = prev[:, 0:4] ^ t
-        new[:, 4:8] = prev[:, 4:8] ^ new[:, 0:4]
-        new[:, 8:12] = prev[:, 8:12] ^ new[:, 4:8]
-        new[:, 12:16] = prev[:, 12:16] ^ new[:, 8:12]
-        self.key = new
+        # XOR whole 4-byte words, whose byte order an XOR ignores: the new
+        # W0 is W0 ^ t, each later W_i is W_i ^ the new W_(i-1)
+        words = prev.view(np.uint32)
+        new = np.empty_like(words)
+        np.bitwise_xor(words[:, 0], t.view(np.uint32)[:, 0], out=new[:, 0])
+        for i in (1, 2, 3):
+            np.bitwise_xor(words[:, i], new[:, i - 1], out=new[:, i])
+        self.key = new.view(np.uint8)
         self.round = rnd
-        return new
+        return self.key
 
 
 # -- state <-> lane mapping and nibble packing ----------------------------
@@ -128,7 +132,7 @@ _NIBBLE_PAIRS = np.stack((_BYTE >> 4, _BYTE & 0x0F), axis=-1).view(np.uint16)[:,
 
 def _split(byte_vals):
     """(..., n) bytes -> (..., 2n) nibbles, high then low per byte."""
-    return np.ascontiguousarray(_NIBBLE_PAIRS[byte_vals]).view(np.uint8)
+    return _NIBBLE_PAIRS.take(byte_vals).view(np.uint8)
 
 
 def _join(nibbles):

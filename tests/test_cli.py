@@ -56,6 +56,26 @@ def test_encrypt_rejects_non_hex_of_right_length(tmp_path, capsys):
     assert "invalid hex" in capsys.readouterr().err
 
 
+# 32 characters, but the two spaces leave 15 bytes
+SHORT_HEX = "00 11 2233445566778899aabbccddee"
+
+
+@pytest.mark.parametrize("pt_lines, key_line, bad", [
+    ([SHORT_HEX], KEY_HEX, "pts"),
+    ([SHORT_HEX] * 16, KEY_HEX, "pts"),
+    ([PT_HEX], SHORT_HEX, "key"),
+], ids=["one-plaintext", "sixteen-plaintexts", "key"])
+def test_encrypt_rejects_a_line_that_is_not_16_bytes(
+        tmp_path, capsys, pt_lines, key_line, bad):
+    pts = write(tmp_path / "pts.txt", "".join(line + "\n" for line in pt_lines))
+    key = write(tmp_path / "key.txt", key_line + "\n")
+    assert len(SHORT_HEX) == 32 and len(bytes.fromhex(SHORT_HEX)) == 15
+    assert cli.main(["encrypt", pts, key]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    path = pts if bad == "pts" else key
+    assert err == "input error: %s:1: expected 16 bytes, got 15\n" % path
+
+
 def test_encrypt_empty_input_gives_empty_output(tmp_path):
     pts = write(tmp_path / "pts.txt", "")
     key = write(tmp_path / "key.txt", KEY_HEX + "\n")
@@ -142,6 +162,23 @@ def test_verify_reports_mismatch(monkeypatch, capsys):
     )
     assert cli.main(["verify", "--blocks", "2"]) == cli.EXIT_MISMATCH
     assert "mismatch at block 0" in capsys.readouterr().out
+
+
+def test_verify_reports_a_mismatch_in_a_later_chunk(monkeypatch, capsys):
+    # blocks 4-7 are the second chunk; block 6 is its third block
+    monkeypatch.setattr(cli, "VERIFY_CHUNK", 4)
+    pts, keys = cli._random_blocks(3, 10)
+    pt, key = bytes(pts[6]), bytes(keys[6])
+    real = cli.gfref.encrypt_block
+    ct = real(pt, key)
+    wrong = bytes(b ^ 1 for b in ct)
+    monkeypatch.setattr(cli.gfref, "encrypt_block",
+                        lambda p, k: wrong if p == pt else real(p, k))
+    assert cli.main(["verify", "--blocks", "10", "--seed", "3"]) == (
+        cli.EXIT_MISMATCH)
+    assert capsys.readouterr().out == (
+        "mismatch at block 6: pt=%s key=%s imc=%s golden=%s\n"
+        % (pt.hex(), key.hex(), ct.hex(), wrong.hex()))
 
 
 def test_verify_rejects_nonpositive_blocks(capsys):
