@@ -1,9 +1,10 @@
 """Run configuration: flat key=value files with dotted section prefixes,
-validated against a complete default set. The layout, parallelism and
-cost defaults are those of the model classes that own them. Unknown keys
-are rejected and the configuration hash is stable under key reordering."""
+validated against a complete default set. A model knob's default is
+that of the class or parameter it sets. Unknown keys are rejected and
+the configuration hash is stable under key reordering."""
 
 import hashlib
+import inspect
 import math
 from dataclasses import fields
 
@@ -15,14 +16,22 @@ from .sequencer import LaneLayout, ParallelismConfig
 # class's own defaults.
 _MODELS = {"layout": LaneLayout, "parallelism": ParallelismConfig}
 
+# Config keys that set a Pipeline or BankFarm parameter, and default to it.
+_PARAMS = {
+    "geometry.rows": (Pipeline, "rows"),
+    "geometry.cols": (Pipeline, "cols"),
+    "schedule.crosslane_extra_cycles_per_byte": (
+        Pipeline, "crosslane_extra_cycles_per_byte"),
+    "pipeline.initiation_interval": (Pipeline, "initiation_interval"),
+    "banks": (BankFarm, "banks"),
+}
+_PARAM_DEFAULTS = {key: inspect.signature(cls).parameters[param].default
+                   for key, (cls, param) in _PARAMS.items()}
+
 
 def _default_entries():
     entries = {
-        "geometry.rows": 16,
-        "geometry.cols": 16,
-        "schedule.crosslane_extra_cycles_per_byte": 0,
-        "pipeline.initiation_interval": 0,  # 0 = block latency
-        "banks": 1,
+        **_PARAM_DEFAULTS,
         "freq.f_max_hz": 108.9e6,
         "freq.f_rf_hz": 13.56e6,
         "freq.f_uniform_hz": 30e6,
@@ -157,18 +166,12 @@ class RunConfig:
         )
 
     def pipeline_kwargs(self, trace_detail=False):
-        return {
-            "cost_table": self.cost_table(),
-            "crosslane_extra_cycles_per_byte": self.entries[
-                "schedule.crosslane_extra_cycles_per_byte"],
-            "layout": self.layout(),
-            "parallelism": self.parallelism(),
-            "rows": self.entries["geometry.rows"],
-            "cols": self.entries["geometry.cols"],
-            "initiation_interval": self.entries["pipeline.initiation_interval"],
-            "trace_detail": trace_detail,
-            "config_hash": self.config_hash(),
-        }
+        kwargs = {param: self.entries[key]
+                  for key, (cls, param) in _PARAMS.items() if cls is Pipeline}
+        kwargs.update(cost_table=self.cost_table(), layout=self.layout(),
+                      parallelism=self.parallelism(), trace_detail=trace_detail,
+                      config_hash=self.config_hash())
+        return kwargs
 
     def pipeline(self, trace_detail=False):
         return Pipeline(**self.pipeline_kwargs(trace_detail=trace_detail))

@@ -141,9 +141,9 @@ class TraceRecorder:
 
 class CrossbarArray:
     """One crossbar lane: rows x cols grid of 4-bit cells plus per-column
-    sense amplifiers (capacitor + latch), single-bit latches and a row
-    buffer. Reads are non-destructive; writes go through the row buffer
-    unless addressed directly with write_cell."""
+    sense amplifiers (capacitor + latch) and a row buffer. Reads are
+    non-destructive; writes go through the row buffer unless addressed
+    directly with write_cell."""
 
     def __init__(self, rows, cols, cost_table, trace, lane=0, batch=1):
         if rows < 1 or cols < 1 or batch < 1:
@@ -161,7 +161,6 @@ class CrossbarArray:
         self.latch_loaded = np.zeros(cols, dtype=bool)
         self.row_buffer = np.zeros((batch, cols), dtype=np.uint8)
         self.buffer_staged = np.zeros(cols, dtype=bool)
-        self.bit_latches = np.zeros((batch, cols), dtype=np.uint8)
 
     # -- address / value validation -------------------------------------
 

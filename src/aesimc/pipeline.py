@@ -14,7 +14,7 @@ import numpy as np
 
 from .crossbar import ConfigError, CostTable, TraceRecorder
 from .program import STAGES, TraceEvents, compile_program
-from .sequencer import LaneLayout, ParallelismConfig
+from .sequencer import COLS, ROWS, LaneLayout, ParallelismConfig
 
 
 def _block_pairs(plaintexts, keys):
@@ -92,7 +92,7 @@ class Pipeline:
     geometry is rejected here too."""
 
     def __init__(self, cost_table=None, crosslane_extra_cycles_per_byte=0,
-                 layout=None, parallelism=None, rows=16, cols=16,
+                 layout=None, parallelism=None, rows=ROWS, cols=COLS,
                  initiation_interval=0, trace_detail=False, config_hash=""):
         self.cost_table = cost_table or CostTable.default()
         self.schedule = Schedule.from_cost_table(

@@ -211,24 +211,35 @@ class Machine:
 # -- the program -------------------------------------------------------------
 
 
+class Op(namedtuple("Op", "lane kind row cols count")):
+    """count issues of micro-op kind on lane at row (-1: none) and columns
+    cols; an OFFSET_WRITE's cols are its (source, destination) nibbles."""
+
+    __slots__ = ()
+
+
 class Instr(namedtuple("Instr", "fn args ops")):
     """fn(machine, *args) runs the instruction on both lanes; ops are the
-    micro-ops (kind, row, col_mask, count) each lane issues for it."""
+    micro-ops both lanes issue for it, lane 0's first."""
 
     __slots__ = ()
 
 
 class Phase(namedtuple("Phase", "name rnd stage instrs ops crosslane_bytes")):
-    """One AES phase: its instructions and, in trace order, their micro-ops
-    (lane, kind, row, col_mask, count), lane 0's first. stage names the
-    schedule stage the phase runs in."""
+    """One AES phase: its instructions and, in trace order, their micro-ops,
+    lane 0's first. stage names the schedule stage the phase runs in."""
 
     __slots__ = ()
 
 
+def _instr(fn, args, ops):
+    """An instruction whose lanes each issue ops, (kind, row, cols, count)."""
+    return Instr(fn, args, tuple(Op(lane, *op) for lane in (0, 1) for op in ops))
+
+
 def _phase(name, instrs, crosslane_bytes=0):
-    ops = tuple((lane,) + op
-                for lane in (0, 1) for ins in instrs for op in ins.ops)
+    ops = tuple(op for lane in (0, 1) for ins in instrs for op in ins.ops
+                if op.lane == lane)
     return Phase(name, 0, None, tuple(instrs), ops, crosslane_bytes)
 
 
@@ -244,8 +255,8 @@ class Program:
         self.instrs = tuple(i for ph in self.phases for i in ph.instrs)
         counts = dict.fromkeys(MICRO_OP_KINDS, 0)
         for ph in self.phases:
-            for _, kind, _, _, count in ph.ops:
-                counts[kind] += count
+            for op in ph.ops:
+                counts[op.kind] += op.count
         self.counts = MappingProxyType(counts)
         self.n_ops = sum(len(ph.ops) for ph in self.phases)
         self._index = {(ph.name, ph.rnd): ph for ph in self.phases}
@@ -271,8 +282,8 @@ class Program:
             energy = dict(zip(MICRO_OP_KINDS, energies))
             total = 0.0
             for ph in self.phases:
-                for _, kind, _, _, count in ph.ops:
-                    total += energy[kind] * count
+                for op in ph.ops:
+                    total += energy[op.kind] * op.count
             self._energy[energies] = total
         return self._energy[energies]
 
@@ -295,9 +306,9 @@ class TraceEvents:
         energy = self.energy
         for ph in self.program.phases:
             cycle = self.stage_starts[ph.stage]
-            for lane, kind, row, col_mask, count in ph.ops:
-                yield MicroOpEvent(cycle, 0, lane, kind, row, col_mask,
-                                   energy[kind] * count)
+            for op in ph.ops:
+                yield MicroOpEvent(cycle, 0, op.lane, op.kind, op.row, op.cols,
+                                   energy[op.kind] * op.count)
 
     def jsonl(self):
         """The trace as JSON lines, one text chunk per phase: each event's
@@ -352,8 +363,8 @@ def _stage(dst_row, src_cols=CELL_COLS):
 def _xor(dst, a, b):
     """Row a to the SA capacitors, row b to the latches, SA XOR, then the
     latches staged and written back into row dst."""
-    return Instr(_xor_rows, (dst, a, b), tuple(
-        _read(a) + _read(b) + [("SA_XOR", -1, CELL_COLS, 1)] + _stage(dst)))
+    return _instr(_xor_rows, (dst, a, b),
+                  _read(a) + _read(b) + [("SA_XOR", -1, CELL_COLS, 1)] + _stage(dst))
 
 
 @lru_cache(maxsize=32)
@@ -366,19 +377,19 @@ def compile_program(layout, parallelism, rows, cols):
     if 2 * layout.bytes_per_row > cols:
         raise ConfigError("lane too narrow for bytes_per_row")
     D, K, M = layout.data_rows, layout.key_rows, layout.m2_rows
-    s0, s1 = layout.scratch_rows[:2]
+    s0, s1 = layout.scratch_rows
     t = layout.t_row
     data, key = _row_index(D), _row_index(K)
     sbox_batches = _ceil_div(layout.bytes_per_row, parallelism.sbox_units)
     m2_batches = _ceil_div(layout.bytes_per_row, parallelism.m2_units)
 
-    load = _phase("load", [Instr(_load, (data, key), tuple(
+    load = _phase("load", [_instr(_load, (data, key), [
         ("ROW_WRITE", row, CELL_COLS, 1)
-        for r in range(4) for row in (D[r], K[r])))])
+        for r in range(4) for row in (D[r], K[r])])])
     ark = _phase("add_round_key", [_xor(D[r], D[r], K[r]) for r in range(4)])
     sub = _phase("sub_bytes", [
-        Instr(_sbox_row, (r, D[r]), tuple(
-            _read(D[r]) + [("SBOX_EVAL", D[r], CELL_COLS, sbox_batches)]))
+        _instr(_sbox_row, (r, D[r]),
+               _read(D[r]) + [("SBOX_EVAL", D[r], CELL_COLS, sbox_batches)])
         for r in range(4)])
     # ShiftRows: the S-box output of source column s sits at slot s % 2
     # of its lane's row.
@@ -387,27 +398,26 @@ def compile_program(layout, parallelism, rows, cols):
         nibbles = [2 * (s % 2) + h for s in src[:2] for h in (0, 1)]
         perm = np.array(src)
         perm.flags.writeable = False
-        shift.append(Instr(_shift_row, (r, D[r], perm),
-                           tuple(_stage(D[r], nibbles))))
+        shift.append(_instr(_shift_row, (r, D[r], perm), _stage(D[r], nibbles)))
     shift = _phase("shift_rows", shift, CROSSLANE_BYTES)
     # MixColumns: (a) M-2 of every data byte into the buffer rows, (b) the
     # shared term T = s0^s1^s2^s3 by pairwise XORs through scratch rows,
     # (c) per row: T, XOR in 2*S_i, 2*S_{i+1} and S_i, over the data row.
-    mix = [Instr(_m2_row, (D[r], M[r]), tuple(
-        _read(D[r]) + [("M2_EVAL", D[r], CELL_COLS, m2_batches)]
-        + _stage(M[r]))) for r in range(4)]
+    mix = [_instr(_m2_row, (D[r], M[r]),
+                  _read(D[r]) + [("M2_EVAL", D[r], CELL_COLS, m2_batches)]
+                  + _stage(M[r])) for r in range(4)]
     mix += [_xor(s0, D[0], D[1]), _xor(s1, D[2], D[3]), _xor(t, s0, s1)]
     for r in range(4):
         ops = _read(t)
         for src in (M[r], M[(r + 1) % 4], D[r]):
             ops += _read(src) + [("SA_XOR", -1, CELL_COLS, 1)]
-        mix.append(Instr(_mix_row, (D[r], t, M[r], M[(r + 1) % 4]),
-                         tuple(ops + _stage(D[r]))))
+        mix.append(_instr(_mix_row, (D[r], t, M[r], M[(r + 1) % 4]),
+                          ops + _stage(D[r])))
     mix = _phase("mix_columns", mix)
-    key_writes = tuple(("ROW_WRITE", row, CELL_COLS, 1) for row in K)
-    key_update = _phase("key_update", [Instr(_key_update, (key, 0), key_writes)])
-    readout = _phase("readout", [Instr(_readout, (data,), tuple(
-        _read(row)[0] for row in D))])
+    key_update = _phase("key_update", [_instr(_key_update, (key, 0), [
+        ("ROW_WRITE", row, CELL_COLS, 1) for row in K])])
+    readout = _phase("readout", [_instr(_readout, (data,), [
+        _read(row)[0] for row in D])])
     built = {ph.name: ph for ph in (load, ark, sub, shift, mix, key_update, readout)}
 
     # The round sequence, each phase stamped with its stage and round; a
@@ -418,6 +428,6 @@ def compile_program(layout, parallelism, rows, cols):
             ph = built[name]._replace(rnd=st.rnd, stage=st.name)
             if name == "key_update":
                 ph = ph._replace(
-                    instrs=(Instr(_key_update, (key, st.rnd), key_writes),))
+                    instrs=(ph.instrs[0]._replace(args=(key, st.rnd)),))
             phases.append(ph)
     return Program(rows, phases)

@@ -29,6 +29,10 @@ from .program import (  # noqa: F401  (InvalidRound, KeyGenState: re-exported)
 )
 
 
+# Default crossbar geometry of one lane: 16 rows of 16 cells.
+ROWS = COLS = 16
+
+
 class LaneBusy(SequencerError):
     pass
 
@@ -41,20 +45,14 @@ class LaneLayout:
     key_rows: tuple = (4, 5, 6, 7)
     m2_rows: tuple = (8, 9, 10, 11)
     t_row: int = 12
-    scratch_rows: tuple = (13, 14, 15)
+    scratch_rows: tuple = (13, 14)
     # fixed by the datapath: a lane row holds one byte of each of the
     # lane's two state columns
     bytes_per_row = 2
 
     def validate(self, rows):
-        groups = [
-            list(self.data_rows),
-            list(self.key_rows),
-            list(self.m2_rows),
-            [self.t_row],
-            list(self.scratch_rows),
-        ]
-        flat = [r for g in groups for r in g]
+        flat = [*self.data_rows, *self.key_rows, *self.m2_rows, self.t_row,
+                *self.scratch_rows]
         if len(set(flat)) != len(flat):
             raise ConfigError("lane layout row sets overlap")
         if any(r < 0 or r >= rows for r in flat):
@@ -63,8 +61,8 @@ class LaneLayout:
             raise ConfigError("need 4 data rows and 4 key rows")
         if len(self.m2_rows) != 4:
             raise ConfigError("need 4 M-2 buffer rows")
-        if len(self.scratch_rows) < 2:
-            raise ConfigError("need at least 2 scratch rows")
+        if len(self.scratch_rows) != 2:
+            raise ConfigError("need exactly 2 scratch rows")
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ class LanePairSequencer:
     form lets the state be inspected between phases."""
 
     def __init__(self, cost_table, trace, layout=None, parallelism=None,
-                 rows=16, cols=16, batch=1):
+                 rows=ROWS, cols=COLS, batch=1):
         if batch < 1:
             raise ConfigError("batch must be >= 1")
         self.layout = layout or LaneLayout()
@@ -102,8 +100,8 @@ class LanePairSequencer:
     def _run(self, phase):
         self.machine.execute(phase.instrs)
         self.crosslane_bytes += phase.crosslane_bytes
-        for lane, kind, row, col_mask, count in phase.ops:
-            self.trace.emit(self.cost_table, lane, kind, row, col_mask, count)
+        for op in phase.ops:
+            self.trace.emit(self.cost_table, op.lane, op.kind, op.row, op.cols, op.count)
 
     def _step(self, name, rnd=1):
         self._run(self.program.phase(name, rnd))

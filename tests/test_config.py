@@ -28,6 +28,7 @@ def test_default_config_builds_the_default_model():
 @pytest.mark.parametrize("key, value", [
     ("layout.t_row", 99),
     ("geometry.rows", 8),
+    ("layout.scratch_rows", (13, 14, 15)),
 ])
 def test_builders_reject_an_invalid_model(key, value):
     config = RunConfig({key: value})
@@ -109,7 +110,7 @@ def test_layout_list_values_parse(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("layout.data_rows=1,2,3,4\nlayout.key_rows=5,6,7,8\n"
                     "layout.m2_rows=9,10,11,12\nlayout.t_row=0\n"
-                    "layout.scratch_rows=13,14,15\n")
+                    "layout.scratch_rows=13,14\n")
     config = RunConfig.load(str(path))
     assert config.layout().data_rows == (1, 2, 3, 4)
     # the layout still drives a correct encryption

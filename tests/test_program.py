@@ -2,6 +2,7 @@
 per-block op counts and energy are fixed values, and ciphertexts match
 the gfref reference for every parallelism setting."""
 
+import copy
 import hashlib
 import json
 import random
@@ -13,7 +14,7 @@ from aesimc import cli, gfref
 from aesimc.config import RunConfig
 from aesimc.crossbar import ConfigError, CostTable, TraceRecorder
 from aesimc.pipeline import Pipeline
-from aesimc.program import Machine, compile_program
+from aesimc.program import Machine, SequencerError, compile_program
 from aesimc.sequencer import LaneLayout, LanePairSequencer, ParallelismConfig
 
 PT_HEX = "00112233445566778899aabbccddeeff"
@@ -159,7 +160,7 @@ def test_bank_farms_share_one_compiled_program():
 def test_scattered_layout_matches_gfref_and_keeps_counts():
     layout = LaneLayout(data_rows=(9, 2, 14, 5), key_rows=(0, 11, 7, 3),
                         m2_rows=(1, 13, 6, 10), t_row=15,
-                        scratch_rows=(4, 12, 8))
+                        scratch_rows=(4, 12))
     pipe = Pipeline(layout=layout, trace_detail=True)
     pts, keys = random_pairs(500, 7)
     cts, _, energy = pipe.run_batch(pts, keys)
@@ -169,6 +170,85 @@ def test_scattered_layout_matches_gfref_and_keeps_counts():
     assert energy == BLOCK_ENERGY_PJ
     written = {e.row for e in pipe.trace.events if e.op == "BUFFER_WRITEBACK"}
     assert written == {9, 2, 14, 5, 1, 13, 6, 10, 15, 4, 12}
+
+
+# The layout of test_scattered_layout_matches_gfref_and_keeps_counts.
+SCATTERED = LaneLayout(data_rows=(9, 2, 14, 5), key_rows=(0, 11, 7, 3),
+                       m2_rows=(1, 13, 6, 10), t_row=15, scratch_rows=(4, 12))
+WRITE_KINDS = ("ROW_WRITE", "BUFFER_WRITEBACK")
+
+
+def _op_rows(ins, kinds):
+    """The (row, lane) cells that ins's ops of the given kinds address."""
+    return {(op.row, op.lane) for op in ins.ops if op.kind in kinds}
+
+
+@pytest.mark.parametrize("layout", [LaneLayout(), SCATTERED],
+                         ids=["default", "scattered"])
+def test_each_instructions_ops_name_the_rows_it_reads_and_writes(layout):
+    program = compile_program(layout, ParallelismConfig(), 16, 16)
+    pts, keys = cli._random_blocks(11, 8)
+    m = Machine(len(pts), program.rows)
+    m.inputs = (pts, keys)
+    for ins in program.instrs:
+        reads = _op_rows(ins, ("ROW_READ",))
+        writes = _op_rows(ins, WRITE_KINDS)
+        probe = copy.deepcopy(m)
+        before = m.cells.copy()
+        m.execute([ins])
+        # the rows fn changes are rows its ops write
+        changed = np.nonzero((m.cells != before).any(axis=(1, 3)))
+        assert set(zip(*changed)) <= writes, ins
+        # nothing it does not read can change what it writes
+        for row in range(program.rows):
+            for lane in (0, 1):
+                if (row, lane) not in reads:
+                    probe.cells[row, :, lane] ^= 0x0F
+        probe.execute([ins])
+        for row, lane in writes:
+            assert np.array_equal(probe.cells[row, :, lane],
+                                  m.cells[row, :, lane]), ins
+        assert probe.sub.keys() == m.sub.keys(), ins
+        assert all(np.array_equal(probe.sub[r], m.sub[r]) for r in m.sub), ins
+        assert np.array_equal(probe.output, m.output), ins
+
+
+def test_every_instruction_and_every_written_row_is_load_bearing():
+    # Mutation testing (DeMillo, Lipton & Sayward, 1978): skipping any one
+    # instruction, or flipping one bit of a row an instruction writes just
+    # after it runs, must give a wrong ciphertext or raise. A mutant that
+    # survives names a dead instruction, to be deleted.
+    program = compile_program(LaneLayout(), ParallelismConfig(), 16, 16)
+    pts, keys = cli._random_blocks(2022, 64)
+    expected = np.array([list(gfref.encrypt_block(bytes(pt), bytes(key)))
+                         for pt, key in zip(pts, keys)], dtype=np.uint8)
+    instrs = program.instrs
+
+    def survives(mutant, rest):
+        try:
+            mutant.execute(rest)
+        # a ShiftRows with no S-box outputs, a key update with no key
+        # generator or one out of round order
+        except (KeyError, AttributeError, SequencerError):
+            return False
+        return np.array_equal(mutant.output, expected)
+
+    m = Machine(len(pts), program.rows)
+    m.inputs = (pts, keys)
+    survivors, flips = [], 0
+    for i, ins in enumerate(instrs):
+        if survives(copy.deepcopy(m), instrs[i + 1:]):
+            survivors.append(("skip", i))
+        m.execute([ins])
+        for row in sorted({row for row, _ in _op_rows(ins, WRITE_KINDS)}):
+            mutant = copy.deepcopy(m)
+            mutant.cells[row, :, 0, 0] ^= 1
+            flips += 1
+            if survives(mutant, instrs[i + 1:]):
+                survivors.append(("flip", i, row))
+    assert np.array_equal(m.output, expected)
+    assert survivors == []
+    assert (len(instrs), flips) == (235, 231)
 
 
 def test_stepwise_phases_match_the_whole_program():
