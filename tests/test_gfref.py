@@ -3,12 +3,20 @@ independent oracles: a carry-less polynomial multiply, exhaustive inverse
 search, the published FIPS-197 S-box table and worked examples."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from aesimc import gfref
 from aesimc.gfref import (
+    MIX_MATRIX,
+    T0,
+    T1,
+    T2,
+    T3,
     add_round_key,
     block_from_state,
     encrypt_block,
@@ -346,3 +354,88 @@ def test_encrypt_block_is_pinned_over_seeded_blocks():
         digest.update(encrypt_block(pt, rng.randbytes(16)))
     assert digest.hexdigest() == (
         "65341bbd62b98f6dbfb26a967d35e954f0ac3f679ecc8a6cafad3e8288fcb81e")
+
+
+def test_round_tables_hold_sbox_times_each_mixcolumns_column():
+    # entry a of Tj is S(a) times column j of the (2 3 1 1) circulant,
+    # byte row r of the word holding the factor MIX_MATRIX[r][j]
+    assert MIX_MATRIX[0] == (2, 3, 1, 1)
+    for j, table in enumerate((T0, T1, T2, T3)):
+        assert len(table) == 256
+        column = [MIX_MATRIX[r][j] for r in range(4)]
+        for a in range(256):
+            s = sbox_lut(a)
+            assert table[a].to_bytes(4, "big") == bytes(
+                gf_mul(s, c) for c in column)
+
+
+def test_round_tables_are_byte_rotations_of_t0():
+    for j, table in enumerate((T1, T2, T3), start=1):
+        for word, rotated in zip(T0, table):
+            assert rotated == (word >> 8 * j | word << 32 - 8 * j) & 0xFFFFFFFF
+
+
+def stepwise_encrypt(plaintext, key):
+    """The FIPS-197 specification form, composed from the step functions."""
+    words = expand_key(key)
+    state = add_round_key(state_from_block(plaintext),
+                          round_key_bytes(words, 0))
+    for rnd in range(1, 11):
+        state = shift_rows(sub_bytes(state))
+        if rnd < 10:
+            state = mix_columns(state)
+        state = add_round_key(state, round_key_bytes(words, rnd))
+    return block_from_state(state)
+
+
+@pytest.mark.parametrize("pt, key, ct", [
+    # FIPS-197 Appendix B and Appendix C.1
+    ("3243f6a8885a308d313198a2e0370734", "2b7e151628aed2a6abf7158809cf4f3c",
+     "3925841d02dc09fbdc118597196a0b32"),
+    ("00112233445566778899aabbccddeeff", "000102030405060708090a0b0c0d0e0f",
+     "69c4e0d86a7b0430d8cdb78070b4c55a"),
+])
+def test_word_form_equals_the_stepwise_form_on_fips_vectors(pt, key, ct):
+    pt, key = bytes.fromhex(pt), bytes.fromhex(key)
+    assert stepwise_encrypt(pt, key) == encrypt_block(pt, key) == bytes.fromhex(ct)
+
+
+def test_word_form_equals_the_stepwise_form_on_seeded_blocks():
+    rng = random.Random(7)
+    for _ in range(1000):
+        pt, key = rng.randbytes(16), rng.randbytes(16)
+        assert encrypt_block(pt, key) == stepwise_encrypt(pt, key)
+
+
+@pytest.mark.parametrize("size", [15, 17])
+def test_encrypt_block_rejects_a_plaintext_or_key_of_the_wrong_size(size):
+    with pytest.raises(ValueError):
+        encrypt_block(b"\x00" * size, b"\x00" * 16)
+    with pytest.raises(ValueError):
+        encrypt_block(b"\x00" * 16, b"\x00" * size)
+    with pytest.raises(ValueError):
+        expand_key(b"\x00" * size)
+
+
+def test_encrypt_block_accepts_any_bytes_like_input():
+    pt = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
+    key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+    expected = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+    for kind in (bytes, bytearray, memoryview):
+        ct = encrypt_block(kind(pt), kind(key))
+        assert type(ct) is bytes and ct == expected
+
+
+def test_gfref_imports_no_numpy_and_no_other_package_module():
+    # a fresh interpreter that finds this aesimc first
+    package_root = os.path.dirname(os.path.dirname(gfref.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, aesimc.gfref; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    assert "numpy" not in loaded
+    assert [m for m in loaded if m.startswith("aesimc")] == [
+        "aesimc", "aesimc.gfref"]
