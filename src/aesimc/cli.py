@@ -169,24 +169,14 @@ def cmd_verify(args):
 def cmd_metrics(args):
     config = RunConfig.load(args.config)
     rows = metrics.load_baselines(args.baselines)
-    report = metrics.build_report(config.metrics_input())
-    entries = metrics.audit_baselines(
-        rows, f_rf_hz=config["freq.f_rf_hz"],
-        f_uniform_hz=config["freq.f_uniform_hz"],
-    )
-    records = metrics.compare_against_baselines(report, rows)
+    row = config.aes_imc_row()
+    entries = metrics.audit_baselines(rows)
+    records = metrics.compare_against_baselines(row, rows)
     print("# regenerated AES-IMC row (config=%s)" % config.config_hash())
     print(
-        "Thr=%.2f Mbps  Thr/SLC=%.4f Mbps  Thr*=%.2f Mbps  E=%.4f uJ  "
-        "E/bit=%.4f nJ  DPR=%.2f GB/s"
-        % (
-            report.thr_bps / 1e6,
-            report.thr_per_slc / 1e6,
-            report.thr_star_bps / 1e6,
-            report.energy_J * 1e6,
-            report.energy_per_bit_J * 1e9,
-            report.dpr_Bps / 1e9,
-        )
+        "Thr=%(thr_Mbps).2f Mbps  Thr/SLC=%(thr_per_slc).4f Mbps  "
+        "Thr*=%(thr_star_Mbps).2f Mbps  E=%(E_uJ).4f uJ  "
+        "E/bit=%(E_per_bit_nJ).4f nJ  DPR=%(dpr_GBps).2f GB/s" % row
     )
     for e in entries:
         print(
@@ -238,6 +228,8 @@ def cmd_sweep(args):
     sbox_values = _parse_range(args.sbox_units, "sbox_units")
     m2_values = _parse_range(args.m2_units, "m2_units")
     bank_values = _parse_range(str(args.banks), "banks")
+    # rejects what `metrics` rejects, before any point is built
+    config.aes_imc_row()
     f_max = config["freq.f_max_hz"]
     rows = []
     for sbox_units in sbox_values:
@@ -263,8 +255,8 @@ def cmd_sweep(args):
                         "banks": banks,
                         "cycles_per_block": cycles,
                         "energy_per_block_pJ": "%.6f" % energy,
-                        "thr_Mbps": "%.4f" % (
-                            f_max * metrics.BLOCK_SIZE_BITS / cycles / 1e6),
+                        "thr_Mbps": "%.4f" % (metrics.throughput(
+                            f_max, metrics.BLOCK_SIZE_BITS, cycles) / 1e6),
                         "energy_per_bit_nJ": "%.6f" % (
                             energy / metrics.BLOCK_SIZE_BITS / 1e3),
                         "wall_cycles_for_blocks": wall,

@@ -33,8 +33,6 @@ def _default_entries():
     entries = {
         **_PARAM_DEFAULTS,
         "freq.f_max_hz": 108.9e6,
-        "freq.f_rf_hz": 13.56e6,
-        "freq.f_uniform_hz": 30e6,
         "metrics.slices": 468,
         "metrics.power_w": 0.098,
         "metrics.ciphers": 24096,
@@ -144,25 +142,21 @@ class RunConfig:
     def parallelism(self):
         return self._model("parallelism")
 
-    def metrics_input(self):
-        """The AES-IMC row's metric inputs: this config's clocks and
-        published figures, at the latency of its schedule. The whole
-        pipeline is built, so a config that no pipeline accepts is
-        rejected here too."""
+    def aes_imc_row(self):
+        """The AES-IMC row of the comparison tables (metrics.aes_imc_row):
+        this config's F_max and published figures, at the latency of its
+        schedule. The whole pipeline is built, so a config that no
+        pipeline accepts is rejected here too."""
         # imported here so that building a pipeline does not load metrics
         from . import metrics
 
         e = self.entries
-        return metrics.MetricsInput(
+        return metrics.aes_imc_row(
             f_max_hz=e["freq.f_max_hz"],
             latency_cycles=self.pipeline().schedule.total_cycles_per_block,
             slices=e["metrics.slices"],
             power_W=e["metrics.power_w"],
             ciphers=e["metrics.ciphers"],
-            f_rf_hz=e["freq.f_rf_hz"],
-            f_uniform_hz=e["freq.f_uniform_hz"],
-            block_size_bits=metrics.BLOCK_SIZE_BITS,
-            bytes_per_cipher=metrics.BYTES_PER_CIPHER,
         )
 
     def pipeline_kwargs(self, trace_detail=False):

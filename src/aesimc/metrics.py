@@ -14,8 +14,8 @@ from importlib import resources
 
 from .gfref import BLOCK_BYTES
 
-# Clocks of the published tables; the audit recomputes the published rows
-# at these.
+# Clocks of the published tables: Thr* and E at the RF clock, DPR at the
+# uniform clock. The audit and the AES-IMC row use these and no others.
 F_RF_HZ = 13.56e6
 F_UNIFORM_HZ = 30e6
 # AES-128 blocks, the only size the simulator encrypts
@@ -23,6 +23,8 @@ BYTES_PER_CIPHER = BLOCK_BYTES
 BLOCK_SIZE_BITS = 8 * BLOCK_BYTES
 
 _TEXT_COLUMNS = ("table", "work_label", "device", "P_unit")
+# the AES-IMC row's columns that compare_against_baselines reads
+_COMPARED = ("thr_Mbps", "thr_star_Mbps", "E_uJ", "E_per_bit_nJ", "dpr_GBps")
 _WATTS_PER_UNIT = {"mW": 1e-3, "W": 1.0}
 
 
@@ -79,67 +81,27 @@ def data_processing_rate(ciphers, f_hz, bytes_per_cipher, latency_cycles):
     return ciphers * f_hz * bytes_per_cipher / latency_cycles
 
 
-@dataclass(frozen=True)
-class MetricsInput:
-    """Inputs of the metric formulas; RunConfig.metrics_input builds the
-    AES-IMC row's from the run configuration."""
-
-    f_max_hz: float
-    latency_cycles: int
-    slices: int
-    power_W: float
-    ciphers: int
-    f_rf_hz: float
-    f_uniform_hz: float
-    block_size_bits: int
-    bytes_per_cipher: int
-
-    def __post_init__(self):
-        for name in (
-            "f_max_hz", "latency_cycles", "slices", "power_W", "ciphers",
-            "f_rf_hz", "f_uniform_hz", "block_size_bits", "bytes_per_cipher",
-        ):
-            if getattr(self, name) <= 0:
-                raise MetricsError("%s must be strictly positive" % name)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    thr_bps: float
-    thr_per_slc: float
-    thr_star_bps: float
-    energy_J: float
-    energy_per_bit_J: float
-    dpr_Bps: float
-
-    def to_dict(self):
-        return {
-            "thr_bps": self.thr_bps,
-            "thr_per_slc": self.thr_per_slc,
-            "thr_star_bps": self.thr_star_bps,
-            "energy_J": self.energy_J,
-            "energy_per_bit_J": self.energy_per_bit_J,
-            "dpr_Bps": self.dpr_Bps,
-        }
-
-
-def build_report(inp):
-    """Populate every metric from its defining formula."""
-    thr = throughput(inp.f_max_hz, inp.block_size_bits, inp.latency_cycles)
-    energy = energy_per_block(inp.power_W, inp.latency_cycles, inp.f_rf_hz)
-    return MetricsReport(
-        thr_bps=thr,
-        thr_per_slc=throughput_per_slice(thr, inp.slices),
-        thr_star_bps=throughput_star(
-            inp.f_rf_hz, inp.block_size_bits, inp.latency_cycles
-        ),
-        energy_J=energy,
-        energy_per_bit_J=energy_per_bit(energy, inp.block_size_bits),
-        dpr_Bps=data_processing_rate(
-            inp.ciphers, inp.f_uniform_hz, inp.bytes_per_cipher,
-            inp.latency_cycles,
-        ),
-    )
+def aes_imc_row(f_max_hz, latency_cycles, slices, power_W, ciphers):
+    """The AES-IMC row in the baseline CSV's column names and units: Thr
+    at F_max, Thr* and E at the tables' RF clock, DPR at their uniform
+    clock, so the row compares with the published rows on their basis."""
+    inputs = {"f_max_hz": f_max_hz, "latency_cycles": latency_cycles,
+              "slices": slices, "power_W": power_W, "ciphers": ciphers}
+    for name, value in inputs.items():
+        if value <= 0:
+            raise MetricsError("%s must be strictly positive" % name)
+    thr = throughput(f_max_hz, BLOCK_SIZE_BITS, latency_cycles)
+    energy = energy_per_block(power_W, latency_cycles, F_RF_HZ)
+    return {
+        "thr_Mbps": thr / 1e6,
+        "thr_per_slc": throughput_per_slice(thr, slices) / 1e6,
+        "thr_star_Mbps": throughput_star(
+            F_RF_HZ, BLOCK_SIZE_BITS, latency_cycles) / 1e6,
+        "E_uJ": energy * 1e6,
+        "E_per_bit_nJ": energy_per_bit(energy, BLOCK_SIZE_BITS) * 1e9,
+        "dpr_GBps": data_processing_rate(
+            ciphers, F_UNIFORM_HZ, BYTES_PER_CIPHER, latency_cycles) / 1e9,
+    }
 
 
 # -- bundled baseline dataset -------------------------------------------
@@ -236,11 +198,12 @@ class AuditEntry:
     ok: bool
 
 
-def audit_baselines(rows, f_rf_hz=F_RF_HZ, f_uniform_hz=F_UNIFORM_HZ):
-    """Recompute every derivable published column and compare against
-    the printed value. Entries outside tolerance are flagged (ok=False),
-    never silently accepted; a published value of 0 has no relative error
-    and is rejected."""
+def audit_baselines(rows):
+    """Recompute every derivable published column, at the clocks the
+    tables were computed at, and compare against the printed value.
+    Entries outside tolerance are flagged (ok=False), never silently
+    accepted; a published value of 0 has no relative error and is
+    rejected."""
     entries = []
 
     def check(row, column, published, derived, base_rel=0.01):
@@ -266,9 +229,9 @@ def audit_baselines(rows, f_rf_hz=F_RF_HZ, f_uniform_hz=F_UNIFORM_HZ):
                           thr / f["slc"])
             if "thr_star_Mbps" in f and state and L:
                 check(row, "thr_star_Mbps", f["thr_star_Mbps"],
-                      throughput_star(f_rf_hz, state, L) / 1e6)
+                      throughput_star(F_RF_HZ, state, L) / 1e6)
         if row.table in ("II", "III") and "P_W" in f and L:
-            energy_J = energy_per_block(f["P_W"], L, f_rf_hz)
+            energy_J = energy_per_block(f["P_W"], L, F_RF_HZ)
             if "E_uJ" in f:
                 check(row, "E_uJ", f["E_uJ"], energy_J * 1e6)
             if "E_per_bit_nJ" in f and state:
@@ -276,47 +239,34 @@ def audit_baselines(rows, f_rf_hz=F_RF_HZ, f_uniform_hz=F_UNIFORM_HZ):
                       energy_per_bit(energy_J, state) * 1e9, base_rel=0.05)
         if row.table == "IV" and "dpr_GBps" in f and "ciphers" in f and L:
             dpr = data_processing_rate(
-                f["ciphers"], f_uniform_hz, BYTES_PER_CIPHER, L
+                f["ciphers"], F_UNIFORM_HZ, BYTES_PER_CIPHER, L
             ) / 1e9
             check(row, "dpr_GBps", f["dpr_GBps"], dpr)
     return entries
 
 
-def compare_against_baselines(report, rows, labels=None):
-    """Ratio of the regenerated AES-IMC metrics to each baseline row's
-    published figures. Returns one record per (metric, baseline) pair."""
-    if labels is not None:
-        known = {r.work_label for r in rows}
-        for label in labels:
-            if label not in known:
-                raise UnknownBaseline(label)
-        rows = [r for r in rows if r.work_label in labels]
-    ours = {
-        "thr_Mbps": report.thr_bps / 1e6,
-        "thr_star_Mbps": report.thr_star_bps / 1e6,
-        "E_uJ": report.energy_J * 1e6,
-        "E_per_bit_nJ": report.energy_per_bit_J * 1e9,
-        "dpr_GBps": report.dpr_Bps / 1e9,
-    }
+def compare_against_baselines(row, rows):
+    """Ratio of the AES-IMC row to each baseline row's published figures.
+    Returns one record per (metric, baseline) pair."""
     records = []
-    for row in rows:
-        for metric, our_value in ours.items():
-            published = row.fields.get(metric)
+    for baseline in rows:
+        for metric in _COMPARED:
+            published = baseline.fields.get(metric)
             if published is None or published == 0:
                 continue
             records.append(
                 {
                     "metric": metric,
-                    "baseline": row.key,
+                    "baseline": baseline.key,
                     "baseline_value": published,
-                    "aes_imc_value": our_value,
-                    "ratio": our_value / published,
+                    "aes_imc_value": row[metric],
+                    "ratio": row[metric] / published,
                 }
             )
     return records
 
 
-def dpr_ratio(rows, baseline_label, f_uniform_hz=F_UNIFORM_HZ):
+def dpr_ratio(rows, baseline_label):
     """DPR of AES-IMC over a named baseline, both recomputed by Eq-form
     from the published (ciphers, L) inputs."""
     by_label = {r.work_label: r for r in rows if r.table == "IV"}
@@ -325,7 +275,7 @@ def dpr_ratio(rows, baseline_label, f_uniform_hz=F_UNIFORM_HZ):
 
     def dpr_of(row):
         return data_processing_rate(
-            row.fields["ciphers"], f_uniform_hz, BYTES_PER_CIPHER,
+            row.fields["ciphers"], F_UNIFORM_HZ, BYTES_PER_CIPHER,
             row.fields["L"],
         )
 

@@ -37,6 +37,10 @@ def _block_pairs(plaintexts, keys):
     return plaintexts, keys
 
 
+# Default port penalty, in cycles per byte moved between the lanes
+CROSSLANE_EXTRA_CYCLES_PER_BYTE = 0
+
+
 @dataclass(frozen=True)
 class ScheduleStage:
     name: str
@@ -61,7 +65,8 @@ class Schedule:
         self.total_cycles_per_block = total
 
     @classmethod
-    def from_cost_table(cls, cost, crosslane_extra_cycles_per_byte=0):
+    def from_cost_table(cls, cost,
+                        crosslane_extra_cycles_per_byte=CROSSLANE_EXTRA_CYCLES_PER_BYTE):
         """Reference 26-cycle decomposition. With unit latencies: 1 load +
         1 initial ARK + 9 x 2-cycle rounds + 2-cycle final round + 4
         drain = 26. Each stage's budget is the sum of the cost-table
@@ -91,7 +96,8 @@ class Pipeline:
     and its counts and energy folded here, once; an invalid layout or
     geometry is rejected here too."""
 
-    def __init__(self, cost_table=None, crosslane_extra_cycles_per_byte=0,
+    def __init__(self, cost_table=None,
+                 crosslane_extra_cycles_per_byte=CROSSLANE_EXTRA_CYCLES_PER_BYTE,
                  layout=None, parallelism=None, rows=ROWS, cols=COLS,
                  initiation_interval=0, trace_detail=False, config_hash=""):
         self.cost_table = cost_table or CostTable.default()

@@ -237,6 +237,18 @@ def test_metrics_writes_comparison_csv(tmp_path, capsys):
     assert header == "metric,baseline,baseline_value,aes_imc_value,ratio"
 
 
+def test_metrics_audit_does_not_move_with_the_config(tmp_path, capsys):
+    # the audit recomputes the published rows at their own clocks, so a
+    # config changes the AES-IMC row and nothing else
+    def audit(argv):
+        assert cli.main(["metrics"] + argv) == 0
+        return capsys.readouterr().out.splitlines()[2:]
+
+    cfg = write(tmp_path / "run.cfg",
+                "freq.f_max_hz=50e6\nmetrics.power_w=0.5\n")
+    assert audit(["--config", cfg]) == audit([])
+
+
 def test_metrics_empty_dataset_gives_zero_rows(tmp_path, capsys):
     empty = write(tmp_path / "empty.csv", "")
     assert cli.main(["metrics", "--baselines", empty]) == 0
@@ -369,6 +381,16 @@ def test_sweep_rejects_invalid_ranges(bad, capsys):
     assert cli.main(["sweep", "--sbox-units", bad]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("f_max", ["-1", "0"])
+def test_sweep_rejects_a_clock_that_metrics_rejects(tmp_path, capsys, f_max):
+    cfg = write(tmp_path / "run.cfg", "freq.f_max_hz=%s\n" % f_max)
+    assert cli.main(["sweep", "--config", cfg]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dataset/config error: "
+                            "f_max_hz must be strictly positive\n")
+
+
 # -- robustness -----------------------------------------------------------
 
 
@@ -478,6 +500,7 @@ config_lines = st.one_of(
                      "schedule.total_cycles_per_block=26",
                      "metrics.block_size_bits=64",
                      "metrics.bytes_per_cipher=16",
+                     "freq.f_rf_hz=20e6", "freq.f_uniform_hz=20e6",
                      "banks"]).map(str.encode),
     st.binary(max_size=6),
 )

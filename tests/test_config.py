@@ -89,6 +89,18 @@ def test_declared_total_checked_against_stage_sum(tmp_path, capsys):
         assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["freq.f_rf_hz=20e6", "freq.f_uniform_hz=20e6"])
+def test_table_clocks_are_not_keys(tmp_path, capsys, line):
+    # Thr*, E and DPR are defined at the published tables' clocks
+    assert len(RunConfig().entries) == 30
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=":1: unknown config key"):
+        RunConfig.load(str(path))
+    assert cli.main(["metrics", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_unknown_schedule_preset_rejected():
     with pytest.raises(ConfigError, match="preset"):
         RunConfig({"schedule.preset": "slow13"})

@@ -2,14 +2,12 @@
 
 import pytest
 
-from aesimc import metrics
 from aesimc.config import RunConfig
 from aesimc.metrics import (
     MetricsError,
-    MetricsInput,
     UnknownBaseline,
+    aes_imc_row,
     audit_baselines,
-    build_report,
     compare_against_baselines,
     data_processing_rate,
     dpr_ratio,
@@ -22,29 +20,41 @@ from aesimc.metrics import (
 )
 
 
-def aes_imc_report():
-    return build_report(RunConfig().metrics_input())
+# the default config's inputs of the AES-IMC row
+ROW_INPUTS = {"f_max_hz": 108.9e6, "latency_cycles": 26, "slices": 468,
+              "power_W": 0.098, "ciphers": 24096}
+
+
+def test_config_builds_the_row_of_its_inputs():
+    assert RunConfig().aes_imc_row() == aes_imc_row(**ROW_INPUTS)
 
 
 # -- formula values -----------------------------------------------------
 
 
 def test_throughput_row_values():
-    report = aes_imc_report()
-    assert report.thr_bps / 1e6 == pytest.approx(536.12, rel=1e-3)
-    assert report.thr_star_bps / 1e6 == pytest.approx(66.76, rel=1e-3)
-    assert report.thr_per_slc / 1e6 == pytest.approx(1.144, rel=5e-3)
+    row = RunConfig().aes_imc_row()
+    assert row["thr_Mbps"] == pytest.approx(536.12, rel=1e-3)
+    assert row["thr_star_Mbps"] == pytest.approx(66.76, rel=1e-3)
+    assert row["thr_per_slc"] == pytest.approx(1.144, rel=5e-3)
 
 
 def test_energy_row_values():
-    report = aes_imc_report()
-    assert report.energy_J * 1e6 == pytest.approx(0.18, rel=0.05)
-    assert report.energy_per_bit_J * 1e9 == pytest.approx(1.406, rel=0.05)
+    row = RunConfig().aes_imc_row()
+    assert row["E_uJ"] == pytest.approx(0.18, rel=0.05)
+    assert row["E_per_bit_nJ"] == pytest.approx(1.406, rel=0.05)
 
 
 def test_dpr_row_value():
-    report = aes_imc_report()
-    assert report.dpr_Bps / 1e9 == pytest.approx(445, rel=0.01)
+    assert RunConfig().aes_imc_row()["dpr_GBps"] == pytest.approx(445, rel=0.01)
+
+
+def test_row_has_the_columns_of_the_published_aes_imc_rows():
+    published = set()
+    for r in load_baselines():
+        if r.work_label == "AES-IMC":
+            published.update(r.fields)
+    assert set(aes_imc_row(**ROW_INPUTS)) <= published
 
 
 def test_formulas_against_plain_arithmetic():
@@ -81,10 +91,12 @@ def test_formula_input_validation():
         energy_per_block(0.098, 26, 0)
     with pytest.raises(MetricsError):
         data_processing_rate(0, 30e6, 16, 26)
-    with pytest.raises(MetricsError):
-        MetricsInput(f_max_hz=1e6, latency_cycles=0, slices=1, power_W=1,
-                     ciphers=1, f_rf_hz=1e6, f_uniform_hz=1e6,
-                     block_size_bits=128, bytes_per_cipher=16)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_INPUTS))
+def test_row_rejects_an_input_at_zero(name):
+    with pytest.raises(MetricsError, match="%s must be strictly positive" % name):
+        aes_imc_row(**{**ROW_INPUTS, name: 0})
 
 
 # -- bundled dataset ----------------------------------------------------
@@ -161,26 +173,9 @@ def test_dpr_ratios_match_reported_speedups():
 
 def test_compare_emits_ratio_records():
     rows = load_baselines()
-    records = compare_against_baselines(aes_imc_report(), rows)
+    records = compare_against_baselines(RunConfig().aes_imc_row(), rows)
     assert records
     for rec in records:
         assert rec["ratio"] == pytest.approx(
             rec["aes_imc_value"] / rec["baseline_value"], rel=1e-12
         )
-
-
-def test_compare_label_filter():
-    rows = load_baselines()
-    records = compare_against_baselines(aes_imc_report(), rows, labels={"[40]"})
-    assert records and all(r["baseline"].split("/")[1] == "[40]" for r in records)
-    with pytest.raises(UnknownBaseline):
-        compare_against_baselines(aes_imc_report(), rows, labels={"[999]"})
-
-
-def test_report_serializes():
-    d = aes_imc_report().to_dict()
-    assert set(d) == {
-        "thr_bps", "thr_per_slc", "thr_star_bps", "energy_J",
-        "energy_per_bit_J", "dpr_Bps",
-    }
-    assert metrics.BLOCK_SIZE_BITS == 128
