@@ -243,11 +243,11 @@ def cmd_sweep(args):
                         "banks": banks,
                     }
                 )
-                # figures are folds over the point's program: no data
-                pipe = point.pipeline()
-                cycles = pipe.schedule.total_cycles_per_block
-                energy = pipe.trace.energy_pJ
-                wall = pipe.stream_cycles(-(-args.blocks // banks))
+                # the farm's figures for the blocks: folds over the
+                # point's program, no data
+                report = point.bank_farm().report(args.blocks)
+                cycles = report.cycles_per_block
+                energy = report.energy_per_block_pJ
                 rows.append(
                     {
                         "sbox_units": sbox_units,
@@ -257,9 +257,9 @@ def cmd_sweep(args):
                         "energy_per_block_pJ": "%.6f" % energy,
                         "thr_Mbps": "%.4f" % (metrics.throughput(
                             f_max, metrics.BLOCK_SIZE_BITS, cycles) / 1e6),
-                        "energy_per_bit_nJ": "%.6f" % (
-                            energy / metrics.BLOCK_SIZE_BITS / 1e3),
-                        "wall_cycles_for_blocks": wall,
+                        "energy_per_bit_nJ": "%.6f" % (metrics.energy_per_bit(
+                            energy, metrics.BLOCK_SIZE_BITS) / 1e3),
+                        "wall_cycles_for_blocks": report.cycles_total,
                         "blocks": args.blocks,
                         "config_hash": point.config_hash(),
                     }

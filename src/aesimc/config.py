@@ -10,6 +10,7 @@ from dataclasses import fields
 
 from .crossbar import ConfigError, CostTable, MICRO_OP_KINDS, OpCost
 from .pipeline import BankFarm, Pipeline
+from .program import STAGES
 from .sequencer import LaneLayout, ParallelismConfig
 
 # Config sections whose keys are the fields of a model class, with the
@@ -18,7 +19,6 @@ _MODELS = {"layout": LaneLayout, "parallelism": ParallelismConfig}
 
 # Config keys that set a Pipeline or BankFarm parameter, and default to it.
 _PARAMS = {
-    "geometry.rows": (Pipeline, "rows"),
     "geometry.cols": (Pipeline, "cols"),
     "schedule.crosslane_extra_cycles_per_byte": (
         Pipeline, "crosslane_extra_cycles_per_byte"),
@@ -27,6 +27,13 @@ _PARAMS = {
 }
 _PARAM_DEFAULTS = {key: inspect.signature(cls).parameters[param].default
                    for key, (cls, param) in _PARAMS.items()}
+
+# The kinds whose latency some stage's budget sums; the others' latencies
+# change no result, so they are not keys and keep their default.
+_TIMED_KINDS = tuple(kind for kind in MICRO_OP_KINDS
+                     if any(kind in st.critical_path for st in STAGES))
+_DEFAULT_CYCLES = {kind: cost.cycles
+                   for kind, cost in CostTable.default().entries.items()}
 
 
 def _default_entries():
@@ -41,7 +48,8 @@ def _default_entries():
         for field in fields(model):
             entries["%s.%s" % (section, field.name)] = field.default
     for kind, cost in CostTable.default().entries.items():
-        entries["cost.%s.cycles" % kind.lower()] = cost.cycles
+        if kind in _TIMED_KINDS:
+            entries["cost.%s.cycles" % kind.lower()] = cost.cycles
         entries["cost.%s.energy_pj" % kind.lower()] = cost.energy_pJ
     return entries
 
@@ -58,6 +66,16 @@ def _parse_value(key, raw, default):
         raise ConfigError("bad value for %s: %r" % (key, raw))
 
 
+def _finite(value):
+    """Whether a number converts to a finite float, as the metric formulas
+    and the reported figures take it. A tuple holds rows, which the lane
+    layout bounds."""
+    try:
+        return not isinstance(value, (int, float)) or math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 class RunConfig:
     """All simulator knobs, resolved from defaults plus an optional
     key=value override file."""
@@ -67,7 +85,7 @@ class RunConfig:
         for key, value in (overrides or {}).items():
             if key not in self.entries:
                 raise ConfigError("unknown config key: %s" % key)
-            if isinstance(value, float) and not math.isfinite(value):
+            if not _finite(value):
                 raise ConfigError("non-finite value for %s: %r" % (key, value))
             if isinstance(self.entries[key], tuple):
                 value = tuple(value)
@@ -124,7 +142,8 @@ class RunConfig:
         return CostTable(
             {
                 kind: OpCost(
-                    self.entries["cost.%s.cycles" % kind.lower()],
+                    self.entries.get("cost.%s.cycles" % kind.lower(),
+                                     _DEFAULT_CYCLES[kind]),
                     self.entries["cost.%s.energy_pj" % kind.lower()],
                 )
                 for kind in MICRO_OP_KINDS

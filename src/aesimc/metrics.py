@@ -51,7 +51,7 @@ def throughput_per_slice(thr_bps, slices):
 
 
 def throughput_star(f_rf_hz, block_size_bits, latency_cycles):
-    """Throughput at the fixed RF frequency (13.56 MHz by default)."""
+    """Throughput at a fixed RF frequency; the tables' is F_RF_HZ."""
     if latency_cycles < 1:
         raise MetricsError("latency must be >= 1 cycle")
     return f_rf_hz * block_size_bits / latency_cycles

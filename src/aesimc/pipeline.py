@@ -14,7 +14,7 @@ import numpy as np
 
 from .crossbar import ConfigError, CostTable, TraceRecorder
 from .program import STAGES, TraceEvents, compile_program
-from .sequencer import COLS, ROWS, LaneLayout, ParallelismConfig
+from .sequencer import COLS, LaneLayout, ParallelismConfig
 
 
 def _block_pairs(plaintexts, keys):
@@ -98,7 +98,7 @@ class Pipeline:
 
     def __init__(self, cost_table=None,
                  crosslane_extra_cycles_per_byte=CROSSLANE_EXTRA_CYCLES_PER_BYTE,
-                 layout=None, parallelism=None, rows=ROWS, cols=COLS,
+                 layout=None, parallelism=None, cols=COLS,
                  initiation_interval=0, trace_detail=False, config_hash=""):
         self.cost_table = cost_table or CostTable.default()
         self.schedule = Schedule.from_cost_table(
@@ -110,10 +110,9 @@ class Pipeline:
         self.initiation_interval = (initiation_interval
                                     or self.schedule.total_cycles_per_block)
         # shared with every Pipeline of the same layout, parallelism and
-        # geometry
+        # lane width
         self.program = compile_program(layout or LaneLayout(),
-                                       parallelism or ParallelismConfig(),
-                                       rows, cols)
+                                       parallelism or ParallelismConfig(), cols)
         self.trace = TraceRecorder(detail=trace_detail)
         self.trace.counts.update(self.program.counts)
         self.trace.energy_pJ = self.program.energy_pJ(self.cost_table)

@@ -4,7 +4,7 @@ configuration, and the interpreter that runs it.
 STAGES defines the round sequence once: compile_program lays the program
 out from it and Schedule.from_cost_table budgets its stages. Control flow
 never depends on the data, so compile_program builds the whole sequence
-once per (layout, parallelism, rows, cols) and caches it. Each phase of
+once per (layout, parallelism, cols) and caches it. Each phase of
 the program holds its instructions, each of which runs one row operation
 on both lanes of a (row, batch, lane, nibble) cell tensor, and, in trace
 order, the crossbar micro-ops those instructions stand for. Costs are a
@@ -245,13 +245,14 @@ def _phase(name, instrs, crosslane_bytes=0):
 
 class Program:
     """The whole-block micro-op program of one configuration: its phases
-    in order, their instructions flattened for a run, and the per-kind
-    micro-op counts of one block. Built and validated by compile_program,
-    then shared and never modified."""
+    in order, their instructions flattened for a run, the per-kind
+    micro-op counts of one block, and the cell rows a run needs: one more
+    than the highest row its micro-ops address. Built and validated by
+    compile_program, then shared and never modified."""
 
-    def __init__(self, rows, phases):
-        self.rows = rows
+    def __init__(self, phases):
         self.phases = tuple(phases)
+        self.rows = 1 + max(op.row for ph in self.phases for op in ph.ops)
         self.instrs = tuple(i for ph in self.phases for i in ph.instrs)
         counts = dict.fromkeys(MICRO_OP_KINDS, 0)
         for ph in self.phases:
@@ -368,12 +369,10 @@ def _xor(dst, a, b):
 
 
 @lru_cache(maxsize=32)
-def compile_program(layout, parallelism, rows, cols):
+def compile_program(layout, parallelism, cols):
     """Build the program of one configuration. Addresses and layout are
     checked here, once; the interpreter does no per-op checks."""
-    if rows < 1 or cols < 1:
-        raise ConfigError("geometry must be positive")
-    layout.validate(rows)
+    layout.validate()
     if 2 * layout.bytes_per_row > cols:
         raise ConfigError("lane too narrow for bytes_per_row")
     D, K, M = layout.data_rows, layout.key_rows, layout.m2_rows
@@ -430,4 +429,4 @@ def compile_program(layout, parallelism, rows, cols):
                 ph = ph._replace(
                     instrs=(ph.instrs[0]._replace(args=(key, st.rnd)),))
             phases.append(ph)
-    return Program(rows, phases)
+    return Program(phases)

@@ -29,7 +29,8 @@ from .program import (  # noqa: F401  (InvalidRound, KeyGenState: re-exported)
 )
 
 
-# Default crossbar geometry of one lane: 16 rows of 16 cells.
+# Crossbar geometry of one lane: 16 rows, which the lane layout must fit,
+# and 16 cells per row by default.
 ROWS = COLS = 16
 
 
@@ -50,13 +51,13 @@ class LaneLayout:
     # lane's two state columns
     bytes_per_row = 2
 
-    def validate(self, rows):
+    def validate(self):
         flat = [*self.data_rows, *self.key_rows, *self.m2_rows, self.t_row,
                 *self.scratch_rows]
         if len(set(flat)) != len(flat):
             raise ConfigError("lane layout row sets overlap")
-        if any(r < 0 or r >= rows for r in flat):
-            raise ConfigError("lane layout row outside geometry")
+        if any(r < 0 or r >= ROWS for r in flat):
+            raise ConfigError("lane layout row outside the lane's %d rows" % ROWS)
         if len(self.data_rows) != 4 or len(self.key_rows) != 4:
             raise ConfigError("need 4 data rows and 4 key rows")
         if len(self.m2_rows) != 4:
@@ -84,7 +85,7 @@ class LanePairSequencer:
     form lets the state be inspected between phases."""
 
     def __init__(self, cost_table, trace, layout=None, parallelism=None,
-                 rows=ROWS, cols=COLS, batch=1):
+                 batch=1):
         if batch < 1:
             raise ConfigError("batch must be >= 1")
         self.layout = layout or LaneLayout()
@@ -92,8 +93,8 @@ class LanePairSequencer:
         self.cost_table = cost_table
         self.trace = trace
         self.batch = batch
-        self.program = compile_program(self.layout, self.parallelism, rows, cols)
-        self.machine = Machine(batch, rows)
+        self.program = compile_program(self.layout, self.parallelism, COLS)
+        self.machine = Machine(batch, self.program.rows)
         self.busy = False
         self.crosslane_bytes = 0
 

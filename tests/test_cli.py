@@ -400,7 +400,7 @@ def test_sweep_rejects_a_clock_that_metrics_rejects(tmp_path, capsys, f_max):
     "pipeline.initiation_interval=-2",
     "layout.t_row=99",
     "layout.key_rows=3,4,5,6",
-    "geometry.rows=8",
+    "layout.m2_rows=8,9,10,16",
 ])
 def test_metrics_rejects_what_verify_rejects(tmp_path, capsys, line):
     cfg = write(tmp_path / "run.cfg", line + "\n")
@@ -426,6 +426,19 @@ def test_non_finite_power_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
     assert "E=nan" not in captured.out
+
+
+# an int of 401 digits is finite, but too large for the float that the
+# metric formulas and the schedule figures take it as
+@pytest.mark.parametrize("key", ["metrics.ciphers", "metrics.slices",
+                                 "cost.sbox_eval.cycles"])
+def test_a_number_too_large_for_a_float_exits_3(tmp_path, capsys, key):
+    cfg = write(tmp_path / "run.cfg", "%s=%s\n" % (key, "1" * 401))
+    for argv in (["metrics"], ["sweep", "--sbox-units", "1", "--m2-units", "1"]):
+        assert cli.main(argv + ["--config", cfg]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: non-finite value for %s" % key)
 
 
 def test_non_finite_energy_exits_3(tmp_path, capsys):
@@ -501,6 +514,8 @@ config_lines = st.one_of(
                      "metrics.block_size_bits=64",
                      "metrics.bytes_per_cipher=16",
                      "freq.f_rf_hz=20e6", "freq.f_uniform_hz=20e6",
+                     "geometry.rows=16", "cost.row_read.cycles=1",
+                     "cost.offset_write.cycles=1",
                      "banks"]).map(str.encode),
     st.binary(max_size=6),
 )

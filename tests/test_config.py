@@ -1,5 +1,9 @@
 """Configuration loading, validation, hashing, and component builders."""
 
+import contextlib
+import io
+import re
+
 import pytest
 
 from aesimc import cli
@@ -11,10 +15,11 @@ from aesimc.sequencer import LaneLayout, ParallelismConfig
 
 def test_defaults_build_a_working_pipeline():
     config = RunConfig()
-    assert config["geometry.rows"] == 16
     assert config["banks"] == 1
     pipe = config.pipeline()
     assert isinstance(pipe, Pipeline)
+    # the rows the default layout uses: 0..14
+    assert pipe.program.rows == 15
     assert pipe.schedule.total_cycles_per_block == 26
     assert isinstance(config.bank_farm(banks=2), BankFarm)
 
@@ -27,7 +32,7 @@ def test_default_config_builds_the_default_model():
 
 @pytest.mark.parametrize("key, value", [
     ("layout.t_row", 99),
-    ("geometry.rows", 8),
+    ("layout.t_row", 16),
     ("layout.scratch_rows", (13, 14, 15)),
 ])
 def test_builders_reject_an_invalid_model(key, value):
@@ -92,13 +97,27 @@ def test_declared_total_checked_against_stage_sum(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["freq.f_rf_hz=20e6", "freq.f_uniform_hz=20e6"])
 def test_table_clocks_are_not_keys(tmp_path, capsys, line):
     # Thr*, E and DPR are defined at the published tables' clocks
-    assert len(RunConfig().entries) == 30
+    assert len(RunConfig().entries) == 27
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ConfigError, match=":1: unknown config key"):
         RunConfig.load(str(path))
     assert cli.main(["metrics", "--config", str(path)]) == cli.EXIT_CONFIG
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["geometry.rows=16", "cost.row_read.cycles=2",
+                                  "cost.offset_write.cycles=2"])
+def test_knobs_that_change_no_result_are_not_keys(tmp_path, capsys, line):
+    # the lane's rows are set by its layout; no stage's budget reads the
+    # latency of a ROW_READ or an OFFSET_WRITE
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=":1: unknown config key"):
+        RunConfig.load(str(path))
+    for argv in (["verify", "--blocks", "1"], ["metrics"], ["sweep"]):
+        assert cli.main(argv + ["--config", str(path)]) == cli.EXIT_CONFIG
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_unknown_schedule_preset_rejected():
@@ -111,8 +130,7 @@ def test_cost_overrides_flow_into_schedule(tmp_path):
     path.write_text(
         "cost.sbox_eval.cycles=2\ncost.m2_eval.cycles=2\n"
         "cost.sa_xor.cycles=2\ncost.row_write.cycles=2\n"
-        "cost.buffer_writeback.cycles=2\ncost.row_read.cycles=2\n"
-        "cost.offset_write.cycles=2\n"
+        "cost.buffer_writeback.cycles=2\n"
     )
     config = RunConfig.load(str(path))
     assert config.pipeline().schedule.total_cycles_per_block == 52
@@ -148,3 +166,89 @@ def test_non_finite_floats_rejected(tmp_path, raw):
         RunConfig.load(str(path))
     with pytest.raises(ConfigError, match="non-finite"):
         RunConfig({"cost.row_read.energy_pj": float(raw)})
+
+
+# -- every key can change a result ----------------------------------------
+
+# One accepted value other than the default for every key. Each must
+# change some output of verify, encrypt --trace, sweep or metrics.
+NON_DEFAULT_VALUES = {
+    "banks": 2,
+    "pipeline.initiation_interval": 1,
+    "schedule.crosslane_extra_cycles_per_byte": 1,
+    "freq.f_max_hz": 100e6,
+    "metrics.slices": 500,
+    "metrics.power_w": 0.1,
+    "metrics.ciphers": 20000,
+    "layout.data_rows": (15, 1, 2, 3),
+    "layout.key_rows": (4, 5, 6, 15),
+    "layout.m2_rows": (8, 9, 10, 15),
+    "layout.t_row": 15,
+    "layout.scratch_rows": (13, 15),
+    "parallelism.sbox_units": 1,
+    "parallelism.m2_units": 1,
+    "cost.row_write.cycles": 2,
+    "cost.sa_xor.cycles": 2,
+    "cost.sbox_eval.cycles": 2,
+    "cost.m2_eval.cycles": 2,
+    "cost.buffer_writeback.cycles": 2,
+    "cost.row_read.energy_pj": 1.0,
+    "cost.row_write.energy_pj": 1.0,
+    "cost.sa_xor.energy_pj": 1.0,
+    "cost.sbox_eval.energy_pj": 1.0,
+    "cost.m2_eval.energy_pj": 1.0,
+    "cost.offset_write.energy_pj": 1.0,
+    "cost.buffer_writeback.energy_pj": 1.0,
+}
+# The one exception. geometry.cols changes no result either, but the
+# benchmark's sweep workload (perfbench/workloads.py) sets it to get a
+# fresh program per request; it goes when that workload stops.
+EXEMPT_KEYS = {"geometry.cols"}
+
+# a config hash: the outputs are compared without them
+CONFIG_HASH = re.compile(r"\b[0-9a-f]{16}\b")
+
+
+def _outputs(directory, overrides):
+    """stdout and stderr of verify, encrypt --trace, a one-point sweep and
+    metrics, and the trace, under the config of overrides; every command
+    must succeed."""
+    directory.mkdir()
+    cfg = directory / "run.cfg"
+    cfg.write_text(RunConfig(overrides).canonical())
+    pts = directory / "pts.txt"
+    pts.write_text("00112233445566778899aabbccddeeff\n")
+    key = directory / "key.txt"
+    key.write_text("000102030405060708090a0b0c0d0e0f\n")
+    trace = directory / "trace.jsonl"
+    outputs = []
+    for argv in (
+        ["verify", "--blocks", "3"],
+        ["encrypt", str(pts), str(key), "--trace", str(trace)],
+        ["sweep", "--sbox-units", "2", "--m2-units", "2", "--blocks", "3"],
+        ["metrics"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--config", str(cfg)])
+        assert code == cli.EXIT_OK, (argv, err.getvalue())
+        outputs += [out.getvalue(), err.getvalue()]
+    outputs.append(trace.read_text())
+    return [CONFIG_HASH.sub("<hash>", text) for text in outputs]
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory):
+    return _outputs(tmp_path_factory.mktemp("default") / "run", {})
+
+
+def test_the_table_names_every_key_but_the_exempt_one():
+    assert set(NON_DEFAULT_VALUES) == set(RunConfig().entries) - EXEMPT_KEYS
+    defaults = RunConfig().entries
+    assert all(defaults[k] != v for k, v in NON_DEFAULT_VALUES.items())
+
+
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT_VALUES))
+def test_every_key_changes_a_result(tmp_path, default_outputs, key):
+    outputs = _outputs(tmp_path / "run", {key: NON_DEFAULT_VALUES[key]})
+    assert outputs != default_outputs

@@ -101,7 +101,7 @@ def test_trace_templates_follow_each_cost_table_and_schedule():
 @pytest.mark.parametrize("batch", [1, 64])
 def test_machine_rows_are_contiguous_and_decode_to_the_fips_state(batch):
     layout = LaneLayout()
-    program = compile_program(layout, ParallelismConfig(), 16, 16)
+    program = compile_program(layout, ParallelismConfig(), 16)
     m = Machine(batch, program.rows)
     # (row, batch, lane, nibble): a row operand is one contiguous block
     assert m.cells.shape == (program.rows, batch, 2, 4)
@@ -186,7 +186,7 @@ def _op_rows(ins, kinds):
 @pytest.mark.parametrize("layout", [LaneLayout(), SCATTERED],
                          ids=["default", "scattered"])
 def test_each_instructions_ops_name_the_rows_it_reads_and_writes(layout):
-    program = compile_program(layout, ParallelismConfig(), 16, 16)
+    program = compile_program(layout, ParallelismConfig(), 16)
     pts, keys = cli._random_blocks(11, 8)
     m = Machine(len(pts), program.rows)
     m.inputs = (pts, keys)
@@ -218,7 +218,7 @@ def test_every_instruction_and_every_written_row_is_load_bearing():
     # instruction, or flipping one bit of a row an instruction writes just
     # after it runs, must give a wrong ciphertext or raise. A mutant that
     # survives names a dead instruction, to be deleted.
-    program = compile_program(LaneLayout(), ParallelismConfig(), 16, 16)
+    program = compile_program(LaneLayout(), ParallelismConfig(), 16)
     pts, keys = cli._random_blocks(2022, 64)
     expected = np.array([list(gfref.encrypt_block(bytes(pt), bytes(key)))
                          for pt, key in zip(pts, keys)], dtype=np.uint8)
@@ -275,11 +275,11 @@ def test_stepwise_phases_match_the_whole_program():
     assert seq.crosslane_bytes == 80
 
 
-@pytest.mark.parametrize("rows, layout, message", [
-    (8, LaneLayout(), "outside geometry"),
-])
-def test_compile_rejects_unsupported_configurations(rows, layout, message):
+@pytest.mark.parametrize("layout, message", [
+    (LaneLayout(t_row=16), "outside the lane's 16 rows"),
+], ids=["t_row-16"])
+def test_compile_rejects_unsupported_configurations(layout, message):
     with pytest.raises(ConfigError, match=message):
-        compile_program(layout, ParallelismConfig(), rows, 16)
+        compile_program(layout, ParallelismConfig(), 16)
     with pytest.raises(ConfigError, match=message):
-        Pipeline(layout=layout, rows=rows)
+        Pipeline(layout=layout)

@@ -239,9 +239,9 @@ def test_shift_rows_requires_pending_sub_bytes():
 
 def test_layout_validation_rejects_overlap():
     with pytest.raises(ConfigError):
-        LaneLayout(data_rows=(0, 1, 2, 3), key_rows=(3, 4, 5, 6)).validate(16)
+        LaneLayout(data_rows=(0, 1, 2, 3), key_rows=(3, 4, 5, 6)).validate()
     with pytest.raises(ConfigError):
-        LaneLayout(t_row=99).validate(16)
+        LaneLayout(t_row=99).validate()
 
 
 def test_parallelism_units_must_be_positive():
