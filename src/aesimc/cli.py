@@ -218,7 +218,7 @@ def _parse_range(text, name):
             values = [int(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError("invalid %s range: %r" % (name, text))
-    if not values or any(v < 1 for v in values) or values != sorted(values):
+    if not values or any(v < 1 for v in values) or values != sorted(set(values)):
         raise ConfigError("invalid %s range: %r" % (name, text))
     return values
 
@@ -315,7 +315,7 @@ def build_parser():
     p_swp = sub.add_parser("sweep", help="sweep parallelism/bank knobs")
     p_swp.add_argument("--config")
     p_swp.add_argument("--sbox-units", default="1:4",
-                       help="range lo:hi or comma list")
+                       help="range lo:hi or strictly increasing comma list")
     p_swp.add_argument("--m2-units", default="1:4")
     p_swp.add_argument("--banks", default="1")
     p_swp.add_argument("--blocks", type=int, default=1000)

@@ -6,23 +6,21 @@ the configuration hash is stable under key reordering."""
 import hashlib
 import inspect
 import math
-from dataclasses import fields
 
 from .crossbar import ConfigError, CostTable, MICRO_OP_KINDS, OpCost
 from .pipeline import BankFarm, Pipeline
 from .program import STAGES
-from .sequencer import LaneLayout, ParallelismConfig
+from .sequencer import ParallelismConfig
 
-# Config sections whose keys are the fields of a model class, with the
-# class's own defaults.
-_MODELS = {"layout": LaneLayout, "parallelism": ParallelismConfig}
-
-# Config keys that set a Pipeline or BankFarm parameter, and default to it.
+# Config keys that set a Pipeline, BankFarm or ParallelismConfig
+# parameter, and default to it.
 _PARAMS = {
     "geometry.cols": (Pipeline, "cols"),
     "schedule.crosslane_extra_cycles_per_byte": (
         Pipeline, "crosslane_extra_cycles_per_byte"),
     "pipeline.initiation_interval": (Pipeline, "initiation_interval"),
+    "parallelism.sbox_units": (ParallelismConfig, "sbox_units"),
+    "parallelism.m2_units": (ParallelismConfig, "m2_units"),
     "banks": (BankFarm, "banks"),
 }
 _PARAM_DEFAULTS = {key: inspect.signature(cls).parameters[param].default
@@ -44,9 +42,6 @@ def _default_entries():
         "metrics.power_w": 0.098,
         "metrics.ciphers": 24096,
     }
-    for section, model in _MODELS.items():
-        for field in fields(model):
-            entries["%s.%s" % (section, field.name)] = field.default
     for kind, cost in CostTable.default().entries.items():
         if kind in _TIMED_KINDS:
             entries["cost.%s.cycles" % kind.lower()] = cost.cycles
@@ -55,12 +50,9 @@ def _default_entries():
 
 
 def _parse_value(key, raw, default):
-    """raw parsed as the type of the key's default; a tuple default takes
-    a comma-separated list of ints."""
+    """raw parsed as the type of the key's default."""
     raw = raw.strip()
     try:
-        if isinstance(default, tuple):
-            return tuple(int(x) for x in raw.split(",") if x.strip() != "")
         return type(default)(raw)
     except ValueError:
         raise ConfigError("bad value for %s: %r" % (key, raw))
@@ -68,10 +60,9 @@ def _parse_value(key, raw, default):
 
 def _finite(value):
     """Whether a number converts to a finite float, as the metric formulas
-    and the reported figures take it. A tuple holds rows, which the lane
-    layout bounds."""
+    and the reported figures take it."""
     try:
-        return not isinstance(value, (int, float)) or math.isfinite(value)
+        return math.isfinite(value)
     except OverflowError:  # an int too large for a float
         return False
 
@@ -87,8 +78,6 @@ class RunConfig:
                 raise ConfigError("unknown config key: %s" % key)
             if not _finite(value):
                 raise ConfigError("non-finite value for %s: %r" % (key, value))
-            if isinstance(self.entries[key], tuple):
-                value = tuple(value)
             self.entries[key] = value
 
     @classmethod
@@ -124,12 +113,7 @@ class RunConfig:
         lines = []
         for key in sorted(self.entries):
             value = self.entries[key]
-            if isinstance(value, tuple):
-                text = ",".join(str(v) for v in value)
-            elif isinstance(value, float):
-                text = repr(value)
-            else:
-                text = str(value)
+            text = repr(value) if isinstance(value, float) else str(value)
             lines.append("%s=%s" % (key, text))
         return "\n".join(lines) + "\n"
 
@@ -150,16 +134,13 @@ class RunConfig:
             }
         )
 
-    def _model(self, section):
-        model = _MODELS[section]
-        return model(**{f.name: self.entries["%s.%s" % (section, f.name)]
-                        for f in fields(model)})
-
-    def layout(self):
-        return self._model("layout")
+    def _params(self, cls):
+        """The keyword arguments of cls that config keys set."""
+        return {param: self.entries[key]
+                for key, (owner, param) in _PARAMS.items() if owner is cls}
 
     def parallelism(self):
-        return self._model("parallelism")
+        return ParallelismConfig(**self._params(ParallelismConfig))
 
     def aes_imc_row(self):
         """The AES-IMC row of the comparison tables (metrics.aes_imc_row):
@@ -179,9 +160,8 @@ class RunConfig:
         )
 
     def pipeline_kwargs(self, trace_detail=False):
-        kwargs = {param: self.entries[key]
-                  for key, (cls, param) in _PARAMS.items() if cls is Pipeline}
-        kwargs.update(cost_table=self.cost_table(), layout=self.layout(),
+        kwargs = self._params(Pipeline)
+        kwargs.update(cost_table=self.cost_table(),
                       parallelism=self.parallelism(), trace_detail=trace_detail,
                       config_hash=self.config_hash())
         return kwargs

@@ -14,7 +14,7 @@ import numpy as np
 
 from .crossbar import ConfigError, CostTable, TraceRecorder
 from .program import STAGES, TraceEvents, compile_program
-from .sequencer import COLS, LaneLayout, ParallelismConfig
+from .sequencer import COLS, ParallelismConfig
 
 
 def _block_pairs(plaintexts, keys):
@@ -93,12 +93,12 @@ class Pipeline:
     """One bank: a lane pair plus its schedule. Correctness never
     depends on the cost table, schedule, or parallelism knobs; those
     affect only the reported cycles and energy. The program is compiled
-    and its counts and energy folded here, once; an invalid layout or
-    geometry is rejected here too."""
+    and its counts and energy folded here, once; a lane too narrow for
+    the row map is rejected here too."""
 
     def __init__(self, cost_table=None,
                  crosslane_extra_cycles_per_byte=CROSSLANE_EXTRA_CYCLES_PER_BYTE,
-                 layout=None, parallelism=None, cols=COLS,
+                 parallelism=None, cols=COLS,
                  initiation_interval=0, trace_detail=False, config_hash=""):
         self.cost_table = cost_table or CostTable.default()
         self.schedule = Schedule.from_cost_table(
@@ -109,10 +109,8 @@ class Pipeline:
                               "(0 = block latency)")
         self.initiation_interval = (initiation_interval
                                     or self.schedule.total_cycles_per_block)
-        # shared with every Pipeline of the same layout, parallelism and
-        # lane width
-        self.program = compile_program(layout or LaneLayout(),
-                                       parallelism or ParallelismConfig(), cols)
+        # shared with every Pipeline of the same parallelism and lane width
+        self.program = compile_program(parallelism or ParallelismConfig(), cols)
         self.trace = TraceRecorder(detail=trace_detail)
         self.trace.counts.update(self.program.counts)
         self.trace.energy_pJ = self.program.energy_pJ(self.cost_table)
@@ -177,6 +175,6 @@ class BankFarm:
             cycles_total=pipe.stream_cycles(-(-n // self.banks)),
             energy_pJ_total=energy_total,
             cycles_per_block=pipe.schedule.total_cycles_per_block,
-            energy_per_block_pJ=energy_total / n,
+            energy_per_block_pJ=energy_per_block,
             config_hash=pipe.config_hash,
         )

@@ -4,11 +4,12 @@ configuration, and the interpreter that runs it.
 STAGES defines the round sequence once: compile_program lays the program
 out from it and Schedule.from_cost_table budgets its stages. Control flow
 never depends on the data, so compile_program builds the whole sequence
-once per (layout, parallelism, cols) and caches it. Each phase of
-the program holds its instructions, each of which runs one row operation
-on both lanes of a (row, batch, lane, nibble) cell tensor, and, in trace
-order, the crossbar micro-ops those instructions stand for. Costs are a
-fold over the micro-ops and never touch the data.
+once per (parallelism, cols) and caches it, over the fixed lane row map
+LAYOUT. Each phase of the program holds its instructions, each of which
+runs one row operation on both lanes of a (row, batch, lane, nibble)
+cell tensor, and, in trace order, the crossbar micro-ops those
+instructions stand for. Costs are a fold over the micro-ops and never
+touch the data.
 """
 
 import json
@@ -31,6 +32,14 @@ _ROT_WORD = np.array([13, 14, 15, 12], dtype=np.intp)
 
 # The four nibble cells of a lane row: two bytes, high nibble first.
 CELL_COLS = (0, 1, 2, 3)
+
+# The row map of one lane's crossbar: data rows 0-3, key rows 4-7, M-2
+# buffer rows 8-11, the shared-term row T and two scratch rows. A lane
+# row holds bytes_per_row bytes, one of each of the lane's two state
+# columns.
+LAYOUT = namedtuple(
+    "LaneLayout", "data_rows key_rows m2_rows t_row scratch_rows bytes_per_row"
+)((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), 12, (13, 14), 2)
 
 # ShiftRows: state column c of row r takes the byte of column
 # (c + r) % 4. Lane L owns columns 2L and 2L + 1, so the bytes whose
@@ -142,7 +151,7 @@ def _join(nibbles):
 # -- instructions ----------------------------------------------------------
 # Each runs one row operation, or one whole-state load, key write or
 # readout, on both lanes of a Machine. Row operands are fixed at compile
-# time: an int for one row, a slice or read-only index array for several.
+# time: an int for one row, a slice for several.
 
 
 def _load(m, data, key):
@@ -341,12 +350,8 @@ class TraceEvents:
 
 
 def _row_index(rows):
-    """A slice for ascending contiguous rows, else a read-only index."""
-    if list(rows) == list(range(rows[0], rows[0] + len(rows))):
-        return slice(rows[0], rows[0] + len(rows))
-    index = np.array(rows, dtype=np.intp)
-    index.flags.writeable = False
-    return index
+    """Ascending contiguous rows as a slice."""
+    return slice(rows[0], rows[-1] + 1)
 
 
 def _read(row):
@@ -369,18 +374,17 @@ def _xor(dst, a, b):
 
 
 @lru_cache(maxsize=32)
-def compile_program(layout, parallelism, cols):
-    """Build the program of one configuration. Addresses and layout are
-    checked here, once; the interpreter does no per-op checks."""
-    layout.validate()
-    if 2 * layout.bytes_per_row > cols:
+def compile_program(parallelism, cols):
+    """Build the program of one configuration over LAYOUT. The lane width
+    is checked here, once; the interpreter does no per-op checks."""
+    if 2 * LAYOUT.bytes_per_row > cols:
         raise ConfigError("lane too narrow for bytes_per_row")
-    D, K, M = layout.data_rows, layout.key_rows, layout.m2_rows
-    s0, s1 = layout.scratch_rows
-    t = layout.t_row
+    D, K, M = LAYOUT.data_rows, LAYOUT.key_rows, LAYOUT.m2_rows
+    s0, s1 = LAYOUT.scratch_rows
+    t = LAYOUT.t_row
     data, key = _row_index(D), _row_index(K)
-    sbox_batches = _ceil_div(layout.bytes_per_row, parallelism.sbox_units)
-    m2_batches = _ceil_div(layout.bytes_per_row, parallelism.m2_units)
+    sbox_batches = _ceil_div(LAYOUT.bytes_per_row, parallelism.sbox_units)
+    m2_batches = _ceil_div(LAYOUT.bytes_per_row, parallelism.m2_units)
 
     load = _phase("load", [_instr(_load, (data, key), [
         ("ROW_WRITE", row, CELL_COLS, 1)

@@ -10,8 +10,9 @@ decomposition, and round-key generation overwrites the key rows.
 ShiftRows is the only phase that moves bytes between lanes; those
 transfers go through a modeled cross-lane port and are counted.
 
-The sequence itself is the compiled program of aesimc.program; this
-module holds its configuration and the stepwise sequencer.
+The sequence itself is the compiled program of aesimc.program, over its
+fixed lane row map; this module holds its parallelism and the stepwise
+sequencer.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ import numpy as np
 from . import gfref
 from .crossbar import ConfigError
 from .program import (  # noqa: F401  (InvalidRound, KeyGenState: re-exported)
+    LAYOUT,
     InvalidRound,
     KeyGenState,
     Machine,
@@ -29,41 +31,12 @@ from .program import (  # noqa: F401  (InvalidRound, KeyGenState: re-exported)
 )
 
 
-# Crossbar geometry of one lane: 16 rows, which the lane layout must fit,
-# and 16 cells per row by default.
-ROWS = COLS = 16
+# Cells per row of one lane's crossbar, by default
+COLS = 16
 
 
 class LaneBusy(SequencerError):
     pass
-
-
-@dataclass(frozen=True)
-class LaneLayout:
-    """Row assignment inside one lane's crossbar."""
-
-    data_rows: tuple = (0, 1, 2, 3)
-    key_rows: tuple = (4, 5, 6, 7)
-    m2_rows: tuple = (8, 9, 10, 11)
-    t_row: int = 12
-    scratch_rows: tuple = (13, 14)
-    # fixed by the datapath: a lane row holds one byte of each of the
-    # lane's two state columns
-    bytes_per_row = 2
-
-    def validate(self):
-        flat = [*self.data_rows, *self.key_rows, *self.m2_rows, self.t_row,
-                *self.scratch_rows]
-        if len(set(flat)) != len(flat):
-            raise ConfigError("lane layout row sets overlap")
-        if any(r < 0 or r >= ROWS for r in flat):
-            raise ConfigError("lane layout row outside the lane's %d rows" % ROWS)
-        if len(self.data_rows) != 4 or len(self.key_rows) != 4:
-            raise ConfigError("need 4 data rows and 4 key rows")
-        if len(self.m2_rows) != 4:
-            raise ConfigError("need 4 M-2 buffer rows")
-        if len(self.scratch_rows) != 2:
-            raise ConfigError("need exactly 2 scratch rows")
 
 
 @dataclass(frozen=True)
@@ -84,16 +57,15 @@ class LanePairSequencer:
     runs. Pipeline.run_batch runs the same program whole; this stepwise
     form lets the state be inspected between phases."""
 
-    def __init__(self, cost_table, trace, layout=None, parallelism=None,
-                 batch=1):
+    def __init__(self, cost_table, trace, parallelism=None, batch=1):
         if batch < 1:
             raise ConfigError("batch must be >= 1")
-        self.layout = layout or LaneLayout()
+        self.layout = LAYOUT
         self.parallelism = parallelism or ParallelismConfig()
         self.cost_table = cost_table
         self.trace = trace
         self.batch = batch
-        self.program = compile_program(self.layout, self.parallelism, COLS)
+        self.program = compile_program(self.parallelism, COLS)
         self.machine = Machine(batch, self.program.rows)
         self.busy = False
         self.crosslane_bytes = 0

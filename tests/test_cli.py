@@ -376,7 +376,7 @@ def test_sweep_figures_are_those_of_a_simulated_block(tmp_path):
         assert row["energy_per_block_pJ"] == "%.6f" % energy
 
 
-@pytest.mark.parametrize("bad", ["0:2", "3:1", "x", "", "2,1"])
+@pytest.mark.parametrize("bad", ["0:2", "3:1", "x", "", "2,1", "1,1", "2,2"])
 def test_sweep_rejects_invalid_ranges(bad, capsys):
     assert cli.main(["sweep", "--sbox-units", bad]) == cli.EXIT_CONFIG
 
@@ -398,9 +398,8 @@ def test_sweep_rejects_a_clock_that_metrics_rejects(tmp_path, capsys, f_max):
     "parallelism.sbox_units=0",
     "parallelism.m2_units=-1",
     "pipeline.initiation_interval=-2",
-    "layout.t_row=99",
-    "layout.key_rows=3,4,5,6",
-    "layout.m2_rows=8,9,10,16",
+    "geometry.cols=3",
+    "schedule.crosslane_extra_cycles_per_byte=-1",
 ])
 def test_metrics_rejects_what_verify_rejects(tmp_path, capsys, line):
     cfg = write(tmp_path / "run.cfg", line + "\n")
@@ -516,6 +515,9 @@ config_lines = st.one_of(
                      "freq.f_rf_hz=20e6", "freq.f_uniform_hz=20e6",
                      "geometry.rows=16", "cost.row_read.cycles=1",
                      "cost.offset_write.cycles=1",
+                     "layout.data_rows=0,1,2,3", "layout.key_rows=4,5,6,7",
+                     "layout.m2_rows=8,9,10,11", "layout.t_row=12",
+                     "layout.scratch_rows=13,14",
                      "banks"]).map(str.encode),
     st.binary(max_size=6),
 )

@@ -10,7 +10,7 @@ from aesimc import cli
 from aesimc.config import RunConfig
 from aesimc.crossbar import ConfigError
 from aesimc.pipeline import BankFarm, Pipeline
-from aesimc.sequencer import LaneLayout, ParallelismConfig
+from aesimc.sequencer import ParallelismConfig
 
 
 def test_defaults_build_a_working_pipeline():
@@ -18,7 +18,7 @@ def test_defaults_build_a_working_pipeline():
     assert config["banks"] == 1
     pipe = config.pipeline()
     assert isinstance(pipe, Pipeline)
-    # the rows the default layout uses: 0..14
+    # the rows of the lane row map: 0..14
     assert pipe.program.rows == 15
     assert pipe.schedule.total_cycles_per_block == 26
     assert isinstance(config.bank_farm(banks=2), BankFarm)
@@ -26,14 +26,12 @@ def test_defaults_build_a_working_pipeline():
 
 def test_default_config_builds_the_default_model():
     config = RunConfig()
-    assert config.layout() == LaneLayout()
     assert config.parallelism() == ParallelismConfig()
 
 
 @pytest.mark.parametrize("key, value", [
-    ("layout.t_row", 99),
-    ("layout.t_row", 16),
-    ("layout.scratch_rows", (13, 14, 15)),
+    ("geometry.cols", 3),
+    ("schedule.crosslane_extra_cycles_per_byte", -1),
 ])
 def test_builders_reject_an_invalid_model(key, value):
     config = RunConfig({key: value})
@@ -97,7 +95,7 @@ def test_declared_total_checked_against_stage_sum(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["freq.f_rf_hz=20e6", "freq.f_uniform_hz=20e6"])
 def test_table_clocks_are_not_keys(tmp_path, capsys, line):
     # Thr*, E and DPR are defined at the published tables' clocks
-    assert len(RunConfig().entries) == 27
+    assert len(RunConfig().entries) == 22
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ConfigError, match=":1: unknown config key"):
@@ -106,16 +104,23 @@ def test_table_clocks_are_not_keys(tmp_path, capsys, line):
     assert "unknown config key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["geometry.rows=16", "cost.row_read.cycles=2",
-                                  "cost.offset_write.cycles=2"])
+@pytest.mark.parametrize("line", [
+    "geometry.rows=16", "cost.row_read.cycles=2", "cost.offset_write.cycles=2",
+    "layout.data_rows=0,1,2,3", "layout.key_rows=4,5,6,7",
+    "layout.m2_rows=8,9,10,11", "layout.t_row=12", "layout.scratch_rows=13,14",
+])
 def test_knobs_that_change_no_result_are_not_keys(tmp_path, capsys, line):
-    # the lane's rows are set by its layout; no stage's budget reads the
-    # latency of a ROW_READ or an OFFSET_WRITE
+    # the lane's rows and their map are fixed: another map only relabels
+    # the trace's rows; no stage's budget reads the latency of a ROW_READ
+    # or an OFFSET_WRITE
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ConfigError, match=":1: unknown config key"):
         RunConfig.load(str(path))
-    for argv in (["verify", "--blocks", "1"], ["metrics"], ["sweep"]):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("00112233445566778899aabbccddeeff\n")
+    for argv in (["verify", "--blocks", "1"], ["metrics"], ["sweep"],
+                 ["encrypt", str(pts), str(pts)]):
         assert cli.main(argv + ["--config", str(path)]) == cli.EXIT_CONFIG
         assert "unknown config key" in capsys.readouterr().err
 
@@ -134,21 +139,6 @@ def test_cost_overrides_flow_into_schedule(tmp_path):
     )
     config = RunConfig.load(str(path))
     assert config.pipeline().schedule.total_cycles_per_block == 52
-
-
-def test_layout_list_values_parse(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("layout.data_rows=1,2,3,4\nlayout.key_rows=5,6,7,8\n"
-                    "layout.m2_rows=9,10,11,12\nlayout.t_row=0\n"
-                    "layout.scratch_rows=13,14\n")
-    config = RunConfig.load(str(path))
-    assert config.layout().data_rows == (1, 2, 3, 4)
-    # the layout still drives a correct encryption
-    ct, _, _ = config.pipeline().run_block(
-        bytes.fromhex("00112233445566778899aabbccddeeff"),
-        bytes.fromhex("000102030405060708090a0b0c0d0e0f"),
-    )
-    assert ct.hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
 
 
 def test_canonical_form_round_trips(tmp_path):
@@ -180,11 +170,6 @@ NON_DEFAULT_VALUES = {
     "metrics.slices": 500,
     "metrics.power_w": 0.1,
     "metrics.ciphers": 20000,
-    "layout.data_rows": (15, 1, 2, 3),
-    "layout.key_rows": (4, 5, 6, 15),
-    "layout.m2_rows": (8, 9, 10, 15),
-    "layout.t_row": 15,
-    "layout.scratch_rows": (13, 15),
     "parallelism.sbox_units": 1,
     "parallelism.m2_units": 1,
     "cost.row_write.cycles": 2,

@@ -149,6 +149,15 @@ def test_banked_results_independent_of_bank_count(banks):
     assert report.energy_pJ_total == BANKED_ENERGY_PJ[banks]
 
 
+@pytest.mark.parametrize("banks", range(1, 8))
+def test_report_energy_per_block_is_the_pipelines(banks):
+    # exactly the program's energy, not the bank-by-bank total over n
+    farm = BankFarm(banks=banks)
+    for n in range(1, 101):
+        assert (farm.report(n).energy_per_block_pJ
+                == farm.pipeline.trace.energy_pJ), n
+
+
 def test_more_banks_reduce_wall_cycles():
     pts, keys = random_pairs(203, 64)
     walls = [

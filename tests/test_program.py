@@ -14,8 +14,8 @@ from aesimc import cli, gfref
 from aesimc.config import RunConfig
 from aesimc.crossbar import ConfigError, CostTable, TraceRecorder
 from aesimc.pipeline import Pipeline
-from aesimc.program import Machine, SequencerError, compile_program
-from aesimc.sequencer import LaneLayout, LanePairSequencer, ParallelismConfig
+from aesimc.program import LAYOUT, Machine, SequencerError, compile_program
+from aesimc.sequencer import LanePairSequencer, ParallelismConfig
 
 PT_HEX = "00112233445566778899aabbccddeeff"
 KEY_HEX = "000102030405060708090a0b0c0d0e0f"
@@ -100,8 +100,7 @@ def test_trace_templates_follow_each_cost_table_and_schedule():
 
 @pytest.mark.parametrize("batch", [1, 64])
 def test_machine_rows_are_contiguous_and_decode_to_the_fips_state(batch):
-    layout = LaneLayout()
-    program = compile_program(layout, ParallelismConfig(), 16)
+    program = compile_program(ParallelismConfig(), 16)
     m = Machine(batch, program.rows)
     # (row, batch, lane, nibble): a row operand is one contiguous block
     assert m.cells.shape == (program.rows, batch, 2, 4)
@@ -111,7 +110,7 @@ def test_machine_rows_are_contiguous_and_decode_to_the_fips_state(batch):
     m.inputs = (np.tile(pt, (batch, 1)), np.tile(key, (batch, 1)))
     m.execute(program.phase("load", 0).instrs)
     # FIPS-197 section 3.4: s[r][c] = in[r + 4c]
-    for rows, block in ((layout.data_rows, pt), (layout.key_rows, key)):
+    for rows, block in ((LAYOUT.data_rows, pt), (LAYOUT.key_rows, key)):
         state = np.tile(block.reshape(4, 4).T, (batch, 1, 1))
         assert np.array_equal(m.state(rows), state)
 
@@ -157,24 +156,6 @@ def test_bank_farms_share_one_compiled_program():
                for farm in farms)
 
 
-def test_scattered_layout_matches_gfref_and_keeps_counts():
-    layout = LaneLayout(data_rows=(9, 2, 14, 5), key_rows=(0, 11, 7, 3),
-                        m2_rows=(1, 13, 6, 10), t_row=15,
-                        scratch_rows=(4, 12))
-    pipe = Pipeline(layout=layout, trace_detail=True)
-    pts, keys = random_pairs(500, 7)
-    cts, _, energy = pipe.run_batch(pts, keys)
-    for i in range(7):
-        assert bytes(cts[i]) == gfref.encrypt_block(bytes(pts[i]), bytes(keys[i]))
-    assert pipe.trace.counts == BLOCK_COUNTS
-    assert energy == BLOCK_ENERGY_PJ
-    written = {e.row for e in pipe.trace.events if e.op == "BUFFER_WRITEBACK"}
-    assert written == {9, 2, 14, 5, 1, 13, 6, 10, 15, 4, 12}
-
-
-# The layout of test_scattered_layout_matches_gfref_and_keeps_counts.
-SCATTERED = LaneLayout(data_rows=(9, 2, 14, 5), key_rows=(0, 11, 7, 3),
-                       m2_rows=(1, 13, 6, 10), t_row=15, scratch_rows=(4, 12))
 WRITE_KINDS = ("ROW_WRITE", "BUFFER_WRITEBACK")
 
 
@@ -183,10 +164,8 @@ def _op_rows(ins, kinds):
     return {(op.row, op.lane) for op in ins.ops if op.kind in kinds}
 
 
-@pytest.mark.parametrize("layout", [LaneLayout(), SCATTERED],
-                         ids=["default", "scattered"])
-def test_each_instructions_ops_name_the_rows_it_reads_and_writes(layout):
-    program = compile_program(layout, ParallelismConfig(), 16)
+def test_each_instructions_ops_name_the_rows_it_reads_and_writes():
+    program = compile_program(ParallelismConfig(), 16)
     pts, keys = cli._random_blocks(11, 8)
     m = Machine(len(pts), program.rows)
     m.inputs = (pts, keys)
@@ -218,7 +197,7 @@ def test_every_instruction_and_every_written_row_is_load_bearing():
     # instruction, or flipping one bit of a row an instruction writes just
     # after it runs, must give a wrong ciphertext or raise. A mutant that
     # survives names a dead instruction, to be deleted.
-    program = compile_program(LaneLayout(), ParallelismConfig(), 16)
+    program = compile_program(ParallelismConfig(), 16)
     pts, keys = cli._random_blocks(2022, 64)
     expected = np.array([list(gfref.encrypt_block(bytes(pt), bytes(key)))
                          for pt, key in zip(pts, keys)], dtype=np.uint8)
@@ -275,11 +254,9 @@ def test_stepwise_phases_match_the_whole_program():
     assert seq.crosslane_bytes == 80
 
 
-@pytest.mark.parametrize("layout, message", [
-    (LaneLayout(t_row=16), "outside the lane's 16 rows"),
-], ids=["t_row-16"])
-def test_compile_rejects_unsupported_configurations(layout, message):
-    with pytest.raises(ConfigError, match=message):
-        compile_program(layout, ParallelismConfig(), 16)
-    with pytest.raises(ConfigError, match=message):
-        Pipeline(layout=layout)
+def test_compile_rejects_unsupported_configurations():
+    # a lane row holds two bytes, four nibble cells
+    with pytest.raises(ConfigError, match="lane too narrow for bytes_per_row"):
+        compile_program(ParallelismConfig(), 3)
+    with pytest.raises(ConfigError, match="lane too narrow for bytes_per_row"):
+        Pipeline(cols=3)

@@ -13,7 +13,6 @@ from aesimc.sequencer import (
     InvalidRound,
     KeyGenState,
     LaneBusy,
-    LaneLayout,
     LanePairSequencer,
     ParallelismConfig,
     SequencerError,
@@ -235,13 +234,6 @@ def test_shift_rows_requires_pending_sub_bytes():
     seq.load_block(pts, keys)
     with pytest.raises(SequencerError):
         seq.seq_shift_rows()
-
-
-def test_layout_validation_rejects_overlap():
-    with pytest.raises(ConfigError):
-        LaneLayout(data_rows=(0, 1, 2, 3), key_rows=(3, 4, 5, 6)).validate()
-    with pytest.raises(ConfigError):
-        LaneLayout(t_row=99).validate()
 
 
 def test_parallelism_units_must_be_positive():
