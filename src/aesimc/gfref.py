@@ -16,7 +16,9 @@ of the MixColumns matrix (2 3 1 1), so one lookup does SubBytes and its
 share of MixColumns. They are built at import from SBOX, XTIME and MUL3,
 which come from the GF(2^8) arithmetic below, and use the matrix form
 of MixColumns: the oracle shares nothing with the shared-term
-decomposition the simulator runs.
+decomposition the simulator runs. `aesimc verify` runs this word form
+over whole chunks of blocks in numpy, from these same tables (T0..T3,
+SBOX_AT_ROW, RCON); this module itself stays pure Python.
 """
 
 import struct
@@ -167,7 +169,7 @@ def _column_table(column):
 # right by 8j bits.
 T0, T1, T2, T3 = (_column_table(column) for column in zip(*MIX_MATRIX))
 # S(x) placed in byte row r of a word, for the final round and SubWord.
-_SBOX_AT_ROW = tuple(tuple(s << 24 - 8 * r for s in SBOX) for r in range(4))
+SBOX_AT_ROW = tuple(tuple(s << 24 - 8 * r for s in SBOX) for r in range(4))
 
 
 def _rcon_words():
@@ -178,7 +180,7 @@ def _rcon_words():
     return tuple(words)
 
 
-_RCON = _rcon_words()
+RCON = _rcon_words()
 _WORDS = struct.Struct(">4I")
 
 
@@ -186,9 +188,9 @@ def expand_key(key):
     """AES-128 key expansion: 44 32-bit words W_0..W_43."""
     if len(key) != 16:
         raise ValueError("key must be 16 bytes, got %d" % len(key))
-    s0, s1, s2, s3 = _SBOX_AT_ROW
+    s0, s1, s2, s3 = SBOX_AT_ROW
     w0, w1, w2, w3 = words = list(_WORDS.unpack(key))
-    for rcon in _RCON:
+    for rcon in RCON:
         # W[4r] = W[4r-4] ^ SubWord(RotWord(W[4r-1])) ^ rcon, then
         # W[j] = W[j-4] ^ W[j-1] for the three words after it
         w0 ^= (s0[w3 >> 16 & 255] ^ s1[w3 >> 8 & 255] ^ s2[w3 & 255]
@@ -235,7 +237,7 @@ def encrypt_block(plaintext, key):
             ^ t3[c2 & 255] ^ w[i + 3],
         )
     # the final round has no MixColumns: plain S-box bytes
-    s0, s1, s2, s3 = _SBOX_AT_ROW
+    s0, s1, s2, s3 = SBOX_AT_ROW
     return _WORDS.pack(
         s0[c0 >> 24] ^ s1[c1 >> 16 & 255] ^ s2[c2 >> 8 & 255]
         ^ s3[c3 & 255] ^ w[40],

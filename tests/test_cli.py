@@ -155,11 +155,23 @@ def test_verify_output_stable_across_runs_and_banks(capsys):
     assert result("1") == result("1") == result("4")
 
 
+def wrong_golden(monkeypatch, *plaintexts):
+    """Have verify's oracle give a wrong golden ciphertext, each byte
+    with its low bit flipped, for the blocks of these plaintexts."""
+    real = cli._golden_blocks
+
+    def golden(pts, keys):
+        out = real(pts, keys)
+        for pt in plaintexts:
+            out[(pts == np.frombuffer(pt, dtype=np.uint8)).all(axis=1)] ^= 1
+        return out
+
+    monkeypatch.setattr(cli, "_golden_blocks", golden)
+
+
 def test_verify_reports_mismatch(monkeypatch, capsys):
     # force disagreement to exercise the failure path
-    monkeypatch.setattr(
-        cli.gfref, "encrypt_block", lambda pt, key: b"\x00" * 16
-    )
+    wrong_golden(monkeypatch, bytes(cli._random_blocks(0, 1)[0][0]))
     assert cli.main(["verify", "--blocks", "2"]) == cli.EXIT_MISMATCH
     assert "mismatch at block 0" in capsys.readouterr().out
 
@@ -169,15 +181,28 @@ def test_verify_reports_a_mismatch_in_a_later_chunk(monkeypatch, capsys):
     monkeypatch.setattr(cli, "VERIFY_CHUNK", 4)
     pts, keys = cli._random_blocks(3, 10)
     pt, key = bytes(pts[6]), bytes(keys[6])
-    real = cli.gfref.encrypt_block
-    ct = real(pt, key)
+    ct = cli.gfref.encrypt_block(pt, key)
     wrong = bytes(b ^ 1 for b in ct)
-    monkeypatch.setattr(cli.gfref, "encrypt_block",
-                        lambda p, k: wrong if p == pt else real(p, k))
+    wrong_golden(monkeypatch, pt)
     assert cli.main(["verify", "--blocks", "10", "--seed", "3"]) == (
         cli.EXIT_MISMATCH)
     assert capsys.readouterr().out == (
         "mismatch at block 6: pt=%s key=%s imc=%s golden=%s\n"
+        % (pt.hex(), key.hex(), ct.hex(), wrong.hex()))
+
+
+def test_verify_reports_the_first_of_two_mismatches_in_a_chunk(
+        monkeypatch, capsys):
+    # blocks 2 and 5 of the one chunk both disagree: the lower is reported
+    pts, keys = cli._random_blocks(3, 10)
+    pt, key = bytes(pts[2]), bytes(keys[2])
+    ct = cli.gfref.encrypt_block(pt, key)
+    wrong = bytes(b ^ 1 for b in ct)
+    wrong_golden(monkeypatch, pt, bytes(pts[5]))
+    assert cli.main(["verify", "--blocks", "10", "--seed", "3"]) == (
+        cli.EXIT_MISMATCH)
+    assert capsys.readouterr().out == (
+        "mismatch at block 2: pt=%s key=%s imc=%s golden=%s\n"
         % (pt.hex(), key.hex(), ct.hex(), wrong.hex()))
 
 
@@ -448,13 +473,6 @@ def test_non_finite_energy_exits_3(tmp_path, capsys):
     assert "energy_pJ_total=inf" not in captured.out
 
 
-@pytest.mark.parametrize("bytes_per_row", [1, 4])
-def test_unsupported_bytes_per_row_exits_3(tmp_path, capsys, bytes_per_row):
-    cfg = write(tmp_path / "run.cfg", "layout.bytes_per_row=%d\n" % bytes_per_row)
-    assert cli.main(["verify", "--blocks", "1", "--config", cfg]) == cli.EXIT_CONFIG
-    assert "bytes_per_row" in capsys.readouterr().err
-
-
 # -- file errors ------------------------------------------------------------
 
 NOT_UTF8 = b"\xff\xfe" + PT_HEX.encode() + b"\n"
@@ -573,9 +591,7 @@ class StdoutClosedAtFlush(io.StringIO):
 def test_closed_stdout_keeps_a_finished_commands_code(monkeypatch, capsys):
     # the mismatch line is written, then the reader is found gone at the
     # last flush: the mismatch is still reported by the exit code
-    monkeypatch.setattr(
-        cli.gfref, "encrypt_block", lambda pt, key: b"\x00" * 16
-    )
+    wrong_golden(monkeypatch, bytes(cli._random_blocks(0, 1)[0][0]))
     monkeypatch.setattr(sys, "stdout", StdoutClosedAtFlush())
     assert cli.main(["verify", "--blocks", "2"]) == cli.EXIT_MISMATCH
     assert capsys.readouterr().err == ""

@@ -108,11 +108,12 @@ def test_table_clocks_are_not_keys(tmp_path, capsys, line):
     "geometry.rows=16", "cost.row_read.cycles=2", "cost.offset_write.cycles=2",
     "layout.data_rows=0,1,2,3", "layout.key_rows=4,5,6,7",
     "layout.m2_rows=8,9,10,11", "layout.t_row=12", "layout.scratch_rows=13,14",
+    "layout.bytes_per_row=1", "layout.bytes_per_row=4",
 ])
 def test_knobs_that_change_no_result_are_not_keys(tmp_path, capsys, line):
     # the lane's rows and their map are fixed: another map only relabels
-    # the trace's rows; no stage's budget reads the latency of a ROW_READ
-    # or an OFFSET_WRITE
+    # the trace's rows, and a row holds two bytes; no stage's budget reads
+    # the latency of a ROW_READ or an OFFSET_WRITE
     path = tmp_path / "run.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ConfigError, match=":1: unknown config key"):

@@ -1,6 +1,8 @@
 """GF(2^8) arithmetic and golden AES reference, checked against
 independent oracles: a carry-less polynomial multiply, exhaustive inverse
-search, the published FIPS-197 S-box table and worked examples."""
+search, the published FIPS-197 S-box table and worked examples. The
+batched form of the reference that `verify` runs is pinned to
+encrypt_block."""
 
 import hashlib
 import os
@@ -8,9 +10,10 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from aesimc import gfref
+from aesimc import cli, gfref
 from aesimc.gfref import (
     MIX_MATRIX,
     T0,
@@ -344,16 +347,67 @@ class TestEncryptBlock:
         assert len(cts) == len(pts)
 
 
+# sha256 of the ciphertexts of 10^4 pairs drawn from random.Random(2022),
+# 16 plaintext bytes then 16 key bytes per pair, as `verify` draws them
+SEEDED_BLOCKS_SHA256 = (
+    "65341bbd62b98f6dbfb26a967d35e954f0ac3f679ecc8a6cafad3e8288fcb81e")
+
+
 def test_encrypt_block_is_pinned_over_seeded_blocks():
-    # sha256 of the ciphertexts of 10^4 seeded (pt, key) pairs, 16
-    # plaintext bytes then 16 key bytes per pair, as `verify` draws them
     rng = random.Random(2022)
     digest = hashlib.sha256()
     for _ in range(10 ** 4):
         pt = rng.randbytes(16)
         digest.update(encrypt_block(pt, rng.randbytes(16)))
-    assert digest.hexdigest() == (
-        "65341bbd62b98f6dbfb26a967d35e954f0ac3f679ecc8a6cafad3e8288fcb81e")
+    assert digest.hexdigest() == SEEDED_BLOCKS_SHA256
+
+
+# -- the batched word form that `verify` runs: cli._golden_blocks ----------
+
+
+def scalar_golden(pts, keys):
+    """encrypt_block block by block, as an (n, 16) uint8 array."""
+    return np.array([list(encrypt_block(bytes(pt), bytes(key)))
+                     for pt, key in zip(pts, keys)], dtype=np.uint8)
+
+
+def test_batched_form_is_pinned_over_the_same_seeded_blocks():
+    pts, keys = cli._random_blocks(2022, 10 ** 4)
+    cts = cli._golden_blocks(pts, keys)
+    assert cts.shape == (10 ** 4, 16) and cts.dtype == np.uint8
+    assert hashlib.sha256(cts.tobytes()).hexdigest() == SEEDED_BLOCKS_SHA256
+
+
+def test_batched_form_on_every_fips_vector():
+    from importlib import resources
+
+    text = (resources.files("aesimc.data") / "fips_vectors.txt").read_text()
+    rows = [[bytes.fromhex(h) for h in line.split()]
+            for line in text.splitlines()]
+    pts, keys, cts = (np.frombuffer(b"".join(col), dtype=np.uint8).reshape(-1, 16)
+                      for col in zip(*rows))
+    assert (cli._golden_blocks(pts, keys) == cts).all()
+    assert (scalar_golden(pts, keys) == cts).all()
+    # and each vector as a batch of one
+    for pt, key, ct in zip(pts, keys, cts):
+        assert (cli._golden_blocks(pt[None], key[None]) == ct).all()
+
+
+@pytest.mark.parametrize("key_byte", [0x00, 0xFF])
+def test_batched_form_under_an_all_zero_or_all_ones_key(key_byte):
+    pts = cli._random_blocks(11, 64)[0]
+    keys = np.full((64, 16), key_byte, dtype=np.uint8)
+    assert (cli._golden_blocks(pts, keys) == scalar_golden(pts, keys)).all()
+
+
+def test_batched_form_reads_the_strided_blocks_verify_draws():
+    # plaintext and key are every other 16 bytes of one draw: neither
+    # array is contiguous, so they cannot be viewed as words in place
+    pts, keys = cli._draw_blocks(random.Random(4), 33)
+    assert not pts.flags.c_contiguous and not keys.flags.c_contiguous
+    before = pts.tobytes(), keys.tobytes()
+    assert (cli._golden_blocks(pts, keys) == scalar_golden(pts, keys)).all()
+    assert (pts.tobytes(), keys.tobytes()) == before
 
 
 def test_round_tables_hold_sbox_times_each_mixcolumns_column():
